@@ -10,6 +10,7 @@ same length T.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
@@ -92,15 +93,10 @@ def centered_frames(x, centers, width):
     """(len(centers), width) matrix of windows centered on the grid.
 
     Windows are zero-padded where they run past the signal edges, keeping
-    all feature tracks on the identical frame grid.
+    all feature tracks on the identical frame grid. Centers lie in
+    [0, len(x)], as every frame center does.
     """
-    n = x.shape[0]
-    out = np.zeros((len(centers), width))
     half = width // 2
-    for i, c in enumerate(centers):
-        lo = c - half
-        hi = lo + width
-        src_lo = max(lo, 0)
-        src_hi = min(hi, n)
-        out[i, src_lo - lo : src_hi - lo] = x[src_lo:src_hi]
-    return out
+    padded = np.concatenate([np.zeros(half), x, np.zeros(width - half)])
+    # window i starts at centers[i] - half, which is centers[i] in padded
+    return sliding_window_view(padded, width)[np.asarray(centers)]

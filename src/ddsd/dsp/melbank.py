@@ -32,13 +32,17 @@ def mel_filterbank_matrix(sr=TARGET_SR, n_fft=N_FFT, n_mels=N_MELS, fmin=0.0, fm
     return weights
 
 
+# the features only ever use the default bank and the 25 ms window at 16 kHz
+_MEL_WEIGHTS_T = mel_filterbank_matrix().T
+_HANN = np.hanning(grid_params(TARGET_SR)[0])
+
+
 def extract_filterbank(buf):
     """(T, 40) log mel energies; input is resampled to 16 kHz if needed."""
     buf = resample_to(buf, TARGET_SR)
     x = buf.samples
     centers = frame_centers(x.shape[0], TARGET_SR)
-    win, _ = grid_params(TARGET_SR)
-    frames = centered_frames(x, centers, win) * np.hanning(win)
+    frames = centered_frames(x, centers, _HANN.shape[0]) * _HANN
     power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
-    bands = power @ mel_filterbank_matrix().T
+    bands = power @ _MEL_WEIGHTS_T
     return np.log(np.maximum(bands, LOG_FLOOR))

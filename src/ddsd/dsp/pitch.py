@@ -16,14 +16,41 @@ UV_SWITCH_COST = 0.20    # voiced <-> unvoiced transition penalty
 UNVOICED_MERIT = 0.42    # stand-in NCC merit of the unvoiced state
 
 
-def _refine_peak(r, lag):
-    """Parabolic interpolation of an NCC peak; returns (lag, value)."""
-    denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
-    if denom >= 0.0:
-        return float(lag), r[lag]
-    delta = 0.5 * (r[lag - 1] - r[lag + 1]) / denom
-    delta = np.clip(delta, -0.5, 0.5)
-    return lag + delta, r[lag] - 0.25 * (r[lag - 1] - r[lag + 1]) * delta
+def _candidates(r, lag_min, lag_max, sr):
+    """Per-frame pitch candidates: (log2f, merit, valid), each (T, MAX_CANDIDATES).
+
+    Candidates are the local maxima of the NCC r above CANDIDATE_FLOOR at
+    lags lag_min..lag_max; r needs one more lag on each side. A frame's slots
+    hold its peaks in lag order, or its MAX_CANDIDATES highest peaks in
+    descending NCC order when it has more. Each peak is refined by parabolic
+    interpolation; empty slots are invalid with merit -1e30.
+    """
+    inner = r[:, lag_min - 1 : lag_max + 2]
+    is_peak = (inner[:, 1:-1] > inner[:, :-2]) & (inner[:, 1:-1] >= inner[:, 2:])
+    is_peak &= inner[:, 1:-1] > CANDIDATE_FLOOR
+
+    n_peaks = is_peak.sum(axis=1)
+    cols = np.argsort(~is_peak, axis=1, kind="stable")[:, :MAX_CANDIDATES]
+    many = n_peaks > MAX_CANDIDATES
+    if many.any():
+        vals = np.where(is_peak[many], inner[many, 1:-1], -np.inf)
+        cols[many] = np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :MAX_CANDIDATES]
+    valid = np.arange(MAX_CANDIDATES) < n_peaks[:, None]
+
+    lag = cols + lag_min
+    r_lo = np.take_along_axis(r, lag - 1, axis=1)
+    r_mid = np.take_along_axis(r, lag, axis=1)
+    r_hi = np.take_along_axis(r, lag + 1, axis=1)
+    denom = r_lo - 2.0 * r_mid + r_hi
+    curved = denom < 0.0
+    delta = np.clip(0.5 * (r_lo - r_hi) / np.where(curved, denom, -1.0), -0.5, 0.5)
+    lag_ref = np.where(curved, lag + delta, lag)
+    val = np.where(curved, r_mid - 0.25 * (r_lo - r_hi) * delta, r_mid)
+
+    freq = np.clip(sr / lag_ref, F0_MIN, F0_MAX)
+    log2f = np.where(valid, np.log2(freq), 0.0)
+    merit = np.where(valid, val - OCTAVE_COST * np.log2(F0_MAX / freq), -1e30)
+    return log2f, merit, valid.astype(np.uint8)
 
 
 def extract_pitch_voicing(buf):
@@ -49,37 +76,16 @@ def extract_pitch_voicing(buf):
     search = r[:, lag_min : lag_max + 1]
     voicing = np.clip(search.max(axis=1), 0.0, 1.0)
 
-    # local maxima of the NCC in the searchable lag range
-    inner = r[:, lag_min - 1 : lag_max + 2]
-    is_peak = (inner[:, 1:-1] > inner[:, :-2]) & (inner[:, 1:-1] >= inner[:, 2:])
-    is_peak &= inner[:, 1:-1] > CANDIDATE_FLOOR
-
-    log2f = np.zeros((n_frames, MAX_CANDIDATES))
-    merit = np.full((n_frames, MAX_CANDIDATES), -np.inf)
-    valid = np.zeros((n_frames, MAX_CANDIDATES), dtype=np.uint8)
-    for t in range(n_frames):
-        lags = np.nonzero(is_peak[t])[0] + lag_min
-        if lags.size == 0:
-            continue
-        vals = r[t, lags]
-        if lags.size > MAX_CANDIDATES:
-            keep = np.argsort(vals)[::-1][:MAX_CANDIDATES]
-            lags = lags[keep]
-        for k, lag in enumerate(lags):
-            lag_ref, val = _refine_peak(r[t], int(lag))
-            freq = float(np.clip(sr / lag_ref, F0_MIN, F0_MAX))
-            log2f[t, k] = np.log2(freq)
-            merit[t, k] = val - OCTAVE_COST * np.log2(F0_MAX / freq)
-            valid[t, k] = 1
-
-    merit[merit == -np.inf] = -1e30
+    log2f, merit, valid = _candidates(r, lag_min, lag_max, sr)
     path = kernels.viterbi_pitch(
         log2f, merit, valid, UNVOICED_MERIT, TRANSITION_WEIGHT, UV_SWITCH_COST
     )
 
+    frames = np.flatnonzero(path < MAX_CANDIDATES)
+    slots = path[frames]
+    keep = valid[frames, slots] != 0
+    frames, slots = frames[keep], slots[keep]
     pitch = np.zeros(n_frames)
-    for t in range(n_frames):
-        k = path[t]
-        if k < MAX_CANDIDATES and valid[t, k]:
-            pitch[t] = 2.0 ** log2f[t, k]
+    # Python-float pow: numpy's vectorised power can differ from it in the last bit
+    pitch[frames] = [2.0**v for v in log2f[frames, slots].tolist()]
     return pitch, voicing

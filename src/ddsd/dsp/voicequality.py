@@ -3,8 +3,9 @@
 jitter  = mean |T_i - T_{i-1}| / mean T_i   over periods in a centered window
 shimmer = mean |A_i - A_{i-1}| / mean A_i   over per-cycle peak amplitudes
 
-Both are clipped to [0, 1] and are 0 on unvoiced frames or where fewer than
-three cycle peaks fall inside the 40 ms window.
+These are Praat's jitter (local) and shimmer (local). Both are clipped to
+[0, 1] and are 0 on unvoiced frames or where fewer than three cycle peaks
+fall inside the 40 ms window.
 """
 
 import numpy as np
@@ -17,26 +18,31 @@ MIN_PULSES = 3
 
 def _voiced_regions(voiced):
     """(start_frame, stop_frame) pairs of consecutive voiced frames."""
-    regions = []
-    start = None
-    for i, v in enumerate(voiced):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            regions.append((start, i))
-            start = None
-    if start is not None:
-        regions.append((start, len(voiced)))
-    return regions
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], voiced.astype(np.int8), [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
-def _relative_variation(values):
-    """mean |v_i - v_{i-1}| / mean v_i, clipped to [0, 1]."""
-    diffs = np.abs(np.diff(values))
-    denom = np.mean(values)
-    if denom <= 0:
-        return 0.0
-    return float(np.clip(np.mean(diffs) / denom, 0.0, 1.0))
+def _windowed_variation(values, points, lo, hi, min_count):
+    """Relative variation of the values whose points fall in each [lo, hi).
+
+    points is ascending, so each window selects the contiguous run
+    values[i0:i1]; window sums of the values and of |diff| come from cumulative
+    sums. Gives mean |v_i - v_{i-1}| / mean v_i clipped to [0, 1], and 0 where
+    the window holds fewer than min_count values or the mean is not positive.
+    """
+    i0 = np.searchsorted(points, lo, side="left")
+    i1 = np.searchsorted(points, hi, side="left")
+    ok = np.flatnonzero(i1 - i0 >= min_count)
+    i0, i1 = i0[ok], i1[ok]
+    n = i1 - i0
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    dsum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(values)))])
+    mean = (csum[i1] - csum[i0]) / n
+    mean_diff = (dsum[i1 - 1] - dsum[i0]) / (n - 1)
+    keep = mean > 0
+    out = np.zeros(lo.shape[0])
+    out[ok[keep]] = np.clip(mean_diff[keep] / mean[keep], 0.0, 1.0)
+    return out
 
 
 def extract_jitter_shimmer(buf, pitch_hz):
@@ -63,15 +69,9 @@ def extract_jitter_shimmer(buf, pitch_hz):
         pos, amp = kernels.cycle_peaks(x, start, stop, periods, hop, f0, f1)
         if pos.shape[0] < MIN_PULSES:
             continue
-        cycle_t = np.diff(pos)
+        lo = centers[f0:f1] - half
+        hi = centers[f0:f1] + half
         cycle_mid = 0.5 * (pos[:-1] + pos[1:])
-        for f in range(f0, f1):
-            lo = centers[f] - half
-            hi = centers[f] + half
-            sel = (cycle_mid >= lo) & (cycle_mid < hi)
-            if sel.sum() >= MIN_PULSES - 1:
-                jitter[f] = _relative_variation(cycle_t[sel])
-            in_win = (pos >= lo) & (pos < hi)
-            if in_win.sum() >= MIN_PULSES:
-                shimmer[f] = _relative_variation(np.abs(amp[in_win]))
+        jitter[f0:f1] = _windowed_variation(np.diff(pos), cycle_mid, lo, hi, MIN_PULSES - 1)
+        shimmer[f0:f1] = _windowed_variation(np.abs(amp), pos, lo, hi, MIN_PULSES)
     return jitter, shimmer

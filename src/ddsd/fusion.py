@@ -82,8 +82,8 @@ class ModalityDropoutConfig:
 
 
 def fuse_avg(scores, modalities=None):
-    """Arithmetic mean over the present scores."""
-    pool = modalities or tuple(scores.scores)
+    """Arithmetic mean over the present scores, pooled in MODALITIES order by default."""
+    pool = modalities or MODALITIES
     vals = [scores.scores[m] for m in pool if scores.present(m)]
     if not vals:
         raise DataError("AVG fusion needs at least one present modality")

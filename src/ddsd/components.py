@@ -56,12 +56,6 @@ class Standardizer:
 
 
 @dataclass
-class DirectnessOutput:
-    score: float
-    embedding: np.ndarray
-
-
-@dataclass
 class ComponentModel:
     modality: str
     graph: ModelGraph
@@ -89,18 +83,20 @@ class ComponentModel:
         graph = ModelGraph.load(path)
         if graph.meta.get("type") != "component":
             raise DataError(f"{path}: not a component model file")
-        std = None
-        if "standardizer_mean" in graph.extras:
-            std = Standardizer(
-                mean=graph.extras["standardizer_mean"],
-                std=graph.extras["standardizer_std"],
-            )
-        return cls(
-            modality=graph.meta["modality"],
-            graph=graph,
-            embedding_tap=graph.meta["embedding_tap"],
-            standardizer=std,
-        )
+        try:
+            modality = graph.meta["modality"]
+            tap = graph.meta["embedding_tap"]
+            std = None
+            if "standardizer_mean" in graph.extras:
+                std = Standardizer(
+                    mean=graph.extras["standardizer_mean"],
+                    std=graph.extras["standardizer_std"],
+                )
+        except KeyError as e:
+            raise DataError(f"{path}: component model file lacks {e}") from None
+        if modality not in MODALITIES or not isinstance(tap, int) or not 0 <= tap < len(graph.layers):
+            raise DataError(f"{path}: bad component metadata modality={modality!r} embedding_tap={tap!r}")
+        return cls(modality=modality, graph=graph, embedding_tap=tap, standardizer=std)
 
 
 def build_prosody_model(seed=0):
@@ -233,12 +229,6 @@ def train_component(
     )
 
 
-def infer_component(model, features):
-    """DirectnessOutput for one utterance's raw features."""
-    scores, embeddings = infer_component_batch(model, [features])
-    return DirectnessOutput(score=float(scores[0]), embedding=embeddings[0])
-
-
 def infer_component_batch(model, features_list, batch_size=256):
     """(scores (N,), embeddings (N, D)) in eval mode."""
     if model.standardizer is None:
@@ -258,12 +248,6 @@ def infer_component_batch(model, features_list, batch_size=256):
         scores[start : start + len(chunk)] = out.ravel()
         embeddings[start : start + len(chunk)] = acts[model.embedding_tap]
     return scores, embeddings
-
-
-def head_score_from_embedding(model, embedding):
-    """Re-apply the model's own head (dropout off) to an embedding."""
-    out = model.graph.head_forward(embedding[None, :], model.embedding_tap + 1)
-    return float(out[0, 0])
 
 
 def export_directedness(models, utts, base_dir, out_dir):

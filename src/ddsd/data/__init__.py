@@ -1,7 +1,7 @@
 """Manifests, record files, split discipline, and the synthetic corpus."""
 
 from .manifest import LABELS, SPLITS, Utterance, by_split, read_manifest, write_manifest
-from .records import Record, dump_text, read_records, read_single, write_records
+from .records import Record, read_records, read_single, write_records
 from .splits import DEFAULT_RATIOS, split_manifest
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "SPLITS",
     "Utterance",
     "by_split",
-    "dump_text",
     "read_manifest",
     "read_records",
     "read_single",

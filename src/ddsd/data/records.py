@@ -6,6 +6,7 @@ any number of records back to back. Absent modalities keep their sentinel
 payloads verbatim (-1 scores, -99999 embedding fills).
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -85,7 +86,10 @@ def read_records(path):
             raise DataError(f"{path}: unsupported record version {version} at byte {offset}")
         offset = end
         end = _need(raw, offset, id_len, path, "utterance id")
-        ident = raw[offset:end].decode("utf-8")
+        try:
+            ident = raw[offset:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: utterance id at byte {offset} is not valid UTF-8") from None
         offset = end
         end = _need(raw, offset, 4, path, "tags")
         mod_code, kind_code, present, ndim = struct.unpack_from("<BBBB", raw, offset)
@@ -97,7 +101,7 @@ def read_records(path):
         end = _need(raw, offset, 4 * ndim, path, "shape")
         shape = struct.unpack_from(f"<{ndim}I", raw, offset) if ndim else ()
         offset = end
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         end = _need(raw, offset, 4 * size, path, f"payload of {ident}")
         payload = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape).copy()
         offset = end
@@ -119,19 +123,3 @@ def read_single(path, modality, kind):
     if len(matches) != 1:
         raise DataError(f"{path}: expected exactly one {modality}/{kind} record, found {len(matches)}")
     return matches[0]
-
-
-def dump_text(path):
-    """Equivalent human-readable dump of a record file."""
-    lines = []
-    for rec in read_records(path):
-        lines.append(
-            f"utterance={rec.utterance_id} modality={rec.modality} kind={rec.kind} "
-            f"present={int(rec.present)} shape={list(rec.payload.shape)}"
-        )
-        flat = rec.payload.ravel()
-        preview = " ".join(f"{v:.6g}" for v in flat[:8])
-        if flat.size > 8:
-            preview += " ..."
-        lines.append(f"  values: {preview}")
-    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import os
 import numpy as np
 
 from .data.manifest import read_manifest, write_manifest
-from .data.records import Record, write_records, dump_text
+from .data.records import Record, write_records
 from .dsp.audio import read_wav
 from .dsp.melbank import extract_filterbank
 from .dsp.prosody import assemble_prosody_track
@@ -21,7 +21,7 @@ def extract_utterance(buf):
     return track.frames, fbank
 
 
-def extract_features(manifest_path, out_manifest=None, debug_text=False, progress=None):
+def extract_features(manifest_path, out_manifest=None):
     """Extract prosody/acoustic feature records for every utterance with audio.
 
     Record files land next to the corpus under features/; the manifest is
@@ -32,7 +32,7 @@ def extract_features(manifest_path, out_manifest=None, debug_text=False, progres
     feat_dir = os.path.join(base, "features")
     os.makedirs(feat_dir, exist_ok=True)
 
-    for i, u in enumerate(utts):
+    for u in utts:
         if u.audio_path is None:
             raise DataError(f"{u.utterance_id}: no audio to extract from")
         buf = read_wav(os.path.join(base, u.audio_path))
@@ -48,15 +48,9 @@ def extract_features(manifest_path, out_manifest=None, debug_text=False, progres
             os.path.join(base, fbank_rel),
             [Record(u.utterance_id, "acoustic", "features", True, fbank.astype(np.float32))],
         )
-        if debug_text:
-            txt = dump_text(os.path.join(base, prosody_rel))
-            with open(os.path.join(base, prosody_rel) + ".txt", "w") as f:
-                f.write(txt)
         u.feature_paths = dict(u.feature_paths)
         u.feature_paths["prosody"] = prosody_rel
         u.feature_paths["acoustic"] = fbank_rel
-        if progress is not None and (i + 1) % 500 == 0:
-            progress(i + 1, len(utts))
 
     out_path = out_manifest or manifest_path
     write_manifest(out_path, utts)

@@ -10,19 +10,20 @@ Three schemes over the component models' directedness outputs:
 * EL  - same trunk, but branches consume the raw embeddings (no inverse
   softmax); a missing embedding is a dimension-matched fill of -99999.
 
-Modality dropout replaces a branch's training input with the same sentinel
-encoding used for missing data at inference time (default), or zeroes it
-with classic 1/(1-p) rescaling in "zero" mode.
+Modality dropout (MD) trains SL/EL on what inference sees when a modality is
+missing: each epoch, every (sample, modality) input is independently
+replaced, with one probability p for all modalities, by the same sentinel
+encoding. Training and inference share one encoder with one absence mask.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .metrics import compute_eer
 from .modalities import EMBEDDING_DIMS, MODALITIES, check_modalities
-from .nn import Branches, Dense, LayerNorm, ModelGraph, TrainConfig, fit
+from .nn import Branches, Dense, LayerNorm, ModelGraph, TrainConfig, balanced_class_weights, fit
 
 SCORE_SENTINEL = -1.0
 EMBEDDING_SENTINEL = -99999.0
@@ -65,19 +66,12 @@ class FusionSample:
 
 @dataclass
 class ModalityDropoutConfig:
-    probs: dict = field(default_factory=dict)  # per-modality drop probability
+    p: float = 0.3  # drop probability, the same for every modality
     seed: int = 0
-    mode: str = "sentinel"  # or "zero"
-
-    def prob(self, modality):
-        return self.probs.get(modality, 0.3)
 
     def validate(self):
-        for m, p in self.probs.items():
-            if not 0.0 <= p < 1.0:
-                raise DataError(f"dropout probability for {m} must be in [0, 1)")
-        if self.mode not in ("sentinel", "zero"):
-            raise DataError(f"unknown modality dropout mode {self.mode!r}")
+        if not 0.0 <= self.p < 1.0:
+            raise DataError("modality dropout probability must be in [0, 1)")
         return self
 
 
@@ -112,60 +106,42 @@ class FusionModel:
         graph = ModelGraph.load(path)
         if graph.meta.get("type") != "fusion":
             raise DataError(f"{path}: not a fusion model file")
-        kind = graph.meta["kind"]
-        return cls(
-            kind=kind,
-            modalities=tuple(graph.meta["modalities"]),
-            graph=None if kind == "AVG" else graph,
-        )
+        try:
+            kind = graph.meta["kind"]
+            modalities = check_modalities(graph.meta["modalities"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: bad fusion model metadata: {e!r}") from None
+        if kind not in FUSION_KINDS:
+            raise DataError(f"{path}: unknown fusion kind {kind!r}")
+        return cls(kind=kind, modalities=modalities, graph=None if kind == "AVG" else graph)
 
 
-def _trunk(width, rng):
-    return [
-        Dense(width, 128, "relu", rng=rng),
-        LayerNorm(128),
-        Dense(128, 1, "sigmoid", rng=rng),
-    ]
-
-
-def build_avg_model(modalities):
-    return FusionModel(kind="AVG", modalities=check_modalities(modalities))
-
-
-def build_sl_model(modalities, seed=0):
-    modalities = check_modalities(modalities)
-    rng = np.random.default_rng(seed)
-    branches = Branches(
-        [1] * len(modalities),
-        [[Dense(1, 128, "tanh", rng=rng)] for _ in modalities],
-    )
-    graph = ModelGraph([branches] + _trunk(128 * len(modalities), rng), rng_seed=seed)
-    return FusionModel(kind="SL", modalities=modalities, graph=graph)
-
-
-def build_el_model(modalities, seed=0):
-    modalities = check_modalities(modalities)
-    rng = np.random.default_rng(seed)
-    dims = [EMBEDDING_DIMS[m] for m in modalities]
-    branches = Branches(dims, [[Dense(d, 128, "tanh", rng=rng)] for d in dims])
-    graph = ModelGraph([branches] + _trunk(128 * len(modalities), rng), rng_seed=seed)
-    return FusionModel(kind="EL", modalities=modalities, graph=graph)
+def _widths(kind, modalities):
+    """Input columns per modality: one score for SL, the whole embedding for EL."""
+    if kind == "SL":
+        return [1] * len(modalities)
+    return [EMBEDDING_DIMS[m] for m in modalities]
 
 
 def build_fusion(kind, modalities, seed=0):
+    if kind not in FUSION_KINDS:
+        raise DataError(f"unknown fusion kind {kind!r}")
+    modalities = check_modalities(modalities)
     if kind == "AVG":
-        return build_avg_model(modalities)
-    if kind == "SL":
-        return build_sl_model(modalities, seed)
-    if kind == "EL":
-        return build_el_model(modalities, seed)
-    raise DataError(f"unknown fusion kind {kind!r}")
+        return FusionModel(kind=kind, modalities=modalities)
+    rng = np.random.default_rng(seed)
+    widths = _widths(kind, modalities)
+    branches = Branches(widths, [[Dense(w, 128, "tanh", rng=rng)] for w in widths])
+    trunk = [
+        Dense(128 * len(widths), 128, "relu", rng=rng),
+        LayerNorm(128),
+        Dense(128, 1, "sigmoid", rng=rng),
+    ]
+    return FusionModel(kind=kind, modalities=modalities, graph=ModelGraph([branches] + trunk, rng_seed=seed))
 
 
 def input_width(model):
-    if model.kind == "SL":
-        return len(model.modalities)
-    return sum(EMBEDDING_DIMS[m] for m in model.modalities)
+    return sum(_widths(model.kind, model.modalities))
 
 
 def encode_inputs(model, samples, dropped=None):
@@ -174,64 +150,39 @@ def encode_inputs(model, samples, dropped=None):
     dropped: optional (N, M) boolean mask of modalities to treat as absent
     on top of genuinely missing ones (training-time modality dropout).
     """
-    n = len(samples)
-    mods = model.modalities
-    x = np.empty((n, input_width(model)))
-    for i, sample in enumerate(samples):
-        col = 0
-        for j, m in enumerate(mods):
-            force_absent = dropped is not None and dropped[i, j]
-            if model.kind == "SL":
-                s = sample.scores.scores.get(m)
-                if s is None or force_absent:
-                    x[i, col] = SCORE_SENTINEL
-                else:
-                    x[i, col] = inverse_softmax(s)
-                col += 1
-            else:
-                d = EMBEDDING_DIMS[m]
-                e = sample.embeddings.embeddings.get(m)
-                if e is None or force_absent:
-                    x[i, col : col + d] = EMBEDDING_SENTINEL
-                else:
-                    if e.shape != (d,):
-                        raise DataError(
-                            f"{sample.utterance_id}: {m} embedding has shape "
-                            f"{tuple(e.shape)}, expected ({d},)"
-                        )
-                    x[i, col : col + d] = e
-                col += d
+    sl = model.kind == "SL"
+    widths = _widths(model.kind, model.modalities)
+    x = np.empty((len(samples), sum(widths)))
+    col = 0
+    for j, (m, width) in enumerate(zip(model.modalities, widths)):
+        values = [(s.scores.scores if sl else s.embeddings.embeddings).get(m) for s in samples]
+        absent = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
+        if dropped is not None:
+            absent |= dropped[:, j]
+        rows = np.flatnonzero(~absent)
+        present = [values[i] for i in rows]
+        block = slice(col, col + width)
+        col += width
+        x[absent, block] = SCORE_SENTINEL if sl else EMBEDDING_SENTINEL
+        if sl:
+            x[rows, block] = inverse_softmax(np.array(present))[:, None]
+            continue
+        for i, e in zip(rows, present):
+            if e.shape != (width,):
+                raise DataError(
+                    f"{samples[i].utterance_id}: {m} embedding has shape {tuple(e.shape)}, expected ({width},)"
+                )
+        if present:
+            x[rows, block] = np.stack(present)
     return x
-
-
-def apply_modality_dropout(sample, config, train_mode, rng):
-    """Per-sample sentinel-mode modality dropout: dropped modalities become
-    absent, exactly like inference-time missing data. No-op when not training."""
-    if not train_mode:
-        return sample
-    config.validate()
-    scores = dict(sample.scores.scores)
-    embeddings = dict(sample.embeddings.embeddings)
-    for m in set(scores) | set(embeddings):
-        if rng.random() < config.prob(m):
-            if m in scores:
-                scores[m] = None
-            if m in embeddings:
-                embeddings[m] = None
-    return FusionSample(
-        utterance_id=sample.utterance_id,
-        label=sample.label,
-        scores=ScoreSet(scores),
-        embeddings=EmbeddingSet(embeddings),
-    )
 
 
 def train_fusion(model, train_samples, val_samples, config=None, md=None, log=None):
     """Train SL/EL on directedness features; AVG has nothing to fit.
 
-    With a ModalityDropoutConfig, each epoch independently redraws which
-    branch inputs are replaced (sentinel mode) or zeroed with 1/(1-p)
-    rescaling (zero mode).
+    With a ModalityDropoutConfig, each epoch redraws, independently per
+    sample and modality with probability md.p, which branch inputs are
+    replaced by the missing-data sentinel.
     """
     if model.kind == "AVG":
         return [], -1
@@ -243,35 +194,20 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
     val_y = np.array([s.label for s in val_samples], dtype=np.float64)
 
     if config.class_weights == (1.0, 1.0):
-        from .nn import balanced_class_weights
-
         config.class_weights = balanced_class_weights(labels)
 
-    if md is None:
-        train_x = encode_inputs(model, train_samples)
-        return fit(model.graph, train_x, labels, val_x, val_y, config, compute_eer, log=log)
+    make_epoch_data = None
+    if md is not None:
+        md.validate()
+        md_rng = np.random.default_rng(md.seed)
 
-    md.validate()
-    md_rng = np.random.default_rng(md.seed)
-    probs = np.array([md.prob(m) for m in model.modalities])
+        def make_epoch_data(epoch, rng):
+            drop = md_rng.random((len(train_samples), len(model.modalities))) < md.p
+            return encode_inputs(model, train_samples, drop), labels
 
-    def make_epoch_data(epoch, rng):
-        drop = md_rng.random((len(train_samples), len(model.modalities))) < probs
-        if md.mode == "sentinel":
-            return encode_inputs(model, train_samples, dropped=drop), labels
-        x = encode_inputs(model, train_samples)
-        col = 0
-        for j, m in enumerate(model.modalities):
-            width = 1 if model.kind == "SL" else EMBEDDING_DIMS[m]
-            sl = slice(col, col + width)
-            x[drop[:, j], sl] = 0.0
-            x[~drop[:, j], sl] /= 1.0 - probs[j]
-            col += width
-        return x, labels
-
-    initial = encode_inputs(model, train_samples)
+    train_x = encode_inputs(model, train_samples)
     return fit(
-        model.graph, initial, labels, val_x, val_y, config, compute_eer,
+        model.graph, train_x, labels, val_x, val_y, config, compute_eer,
         log=log, make_epoch_data=make_epoch_data,
     )
 

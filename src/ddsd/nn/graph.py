@@ -69,13 +69,6 @@ class ModelGraph:
             d = layer.backward(d)
         return d
 
-    def head_forward(self, x, start, train=False, rng=None):
-        """Run only layers[start:] on x (used to re-score an embedding)."""
-        ctx = Context(train=train, lengths=None, rng=rng)
-        for layer in self.layers[start:]:
-            x = layer.forward(x, ctx)
-        return x
-
     # -- parameter access ---------------------------------------------------
 
     def named_params(self):
@@ -127,9 +120,21 @@ class ModelGraph:
             raw = f.read()
         if raw[:8] != MAGIC:
             raise DataError(f"{path}: bad magic bytes (not a model container)")
+        if len(raw) < 16:
+            raise DataError(f"{path}: truncated at byte {len(raw)} reading the header length")
         version, hlen = struct.unpack_from("<II", raw, 8)
         if version != VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
+        if 16 + hlen > len(raw):
+            raise DataError(f"{path}: truncated at byte {len(raw)} reading the header")
+        try:
+            return cls._from_header(path, raw, hlen)
+        except (KeyError, TypeError, ValueError) as e:
+            # json/utf-8 decode errors are ValueErrors; the rest is a header of the wrong form
+            raise DataError(f"{path}: corrupt model header: {e!r}") from None
+
+    @classmethod
+    def _from_header(cls, path, raw, hlen):
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
         layers = [layer_from_descriptor(d) for d in header["layers"]]
         graph = cls(layers, rng_seed=header["rng_seed"], meta=header["meta"])

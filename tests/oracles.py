@@ -9,6 +9,8 @@ import math
 import numpy as np
 
 from ddsd.dsp.pitch import CANDIDATE_FLOOR, F0_MAX, F0_MIN, MAX_CANDIDATES, OCTAVE_COST
+from ddsd.fusion import EMBEDDING_SENTINEL, SCORE_CLAMP, SCORE_SENTINEL
+from ddsd.modalities import EMBEDDING_DIMS
 
 
 def brute_force_det(scores, labels):
@@ -345,3 +347,31 @@ def viterbi_pitch_loops(log2f, score, valid, unvoiced_score, trans_w, uv_cost):
     for t in range(n_frames - 2, -1, -1):
         path[t] = back[t + 1, path[t + 1]]
     return path
+
+
+def encode_inputs_loop(kind, modalities, samples, dropped=None):
+    """Fusion input matrix filled one (sample, modality) cell at a time.
+
+    SL: one column per modality, the score's inverse softmax or the -1
+    sentinel. EL: the embedding per modality, or a -99999 fill of its width.
+    """
+    width = len(modalities) if kind == "SL" else sum(EMBEDDING_DIMS[m] for m in modalities)
+    x = np.empty((len(samples), width))
+    for i, sample in enumerate(samples):
+        col = 0
+        for j, m in enumerate(modalities):
+            force_absent = dropped is not None and dropped[i, j]
+            if kind == "SL":
+                s = sample.scores.scores.get(m)
+                if s is None or force_absent:
+                    x[i, col] = SCORE_SENTINEL
+                else:
+                    s = np.clip(s, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+                    x[i, col] = np.log(s / (1.0 - s))
+                col += 1
+            else:
+                d = EMBEDDING_DIMS[m]
+                e = sample.embeddings.embeddings.get(m)
+                x[i, col : col + d] = EMBEDDING_SENTINEL if e is None or force_absent else e
+                col += d
+    return x

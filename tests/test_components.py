@@ -6,8 +6,6 @@ from ddsd.components import (
     build_component,
     build_prosody_model,
     build_standin,
-    head_score_from_embedding,
-    infer_component,
     infer_component_batch,
     ingest_precomputed,
     export_directedness,
@@ -18,7 +16,7 @@ from ddsd.components import (
 from ddsd.data import read_manifest, by_split
 from ddsd.errors import DataError
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
-from ddsd.nn import TrainConfig
+from ddsd.nn import Context, TrainConfig
 
 
 def test_prosody_parameter_budget():
@@ -43,8 +41,8 @@ def test_zero_head_scores_half():
     from ddsd.components import Standardizer
 
     model.standardizer = Standardizer(mean=np.zeros(8), std=np.ones(8))
-    out = infer_component(model, np.random.default_rng(0).normal(size=8))
-    assert out.score == pytest.approx(0.5)
+    scores, _ = infer_component_batch(model, [np.random.default_rng(0).normal(size=8)])
+    assert scores[0] == pytest.approx(0.5)
 
 
 def test_trigram_bag_stable_and_sized():
@@ -79,21 +77,24 @@ def test_identical_utterances_give_identical_outputs(trained_tiny):
     model = trained_tiny["models"]["prosody"]
     u = by_split(trained_tiny["utts"], "test")[0]
     feats = load_features("prosody", u, trained_tiny["base"])
-    a = infer_component(model, feats)
-    b = infer_component(model, feats.copy())
-    assert a.score == b.score
-    np.testing.assert_array_equal(a.embedding, b.embedding)
+    a = infer_component_batch(model, [feats])
+    b = infer_component_batch(model, [feats.copy()])
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_embedding_score_consistency(trained_tiny):
     for modality, model in trained_tiny["models"].items():
         u = by_split(trained_tiny["utts"], "test")[1]
         feats = load_features(modality, u, trained_tiny["base"])
-        out = infer_component(model, feats)
-        re_scored = head_score_from_embedding(model, out.embedding)
-        assert abs(re_scored - out.score) < 1e-10
-        assert out.embedding.shape == (model.embedding_dim,)
-        assert 0.0 < out.score < 1.0
+        scores, embeddings = infer_component_batch(model, [feats])
+        # the layers after the embedding tap, in eval mode, re-score the embedding
+        x, ctx = embeddings, Context(train=False)
+        for layer in model.graph.layers[model.embedding_tap + 1 :]:
+            x = layer.forward(x, ctx)
+        assert abs(x[0, 0] - scores[0]) < 1e-10
+        assert embeddings.shape == (1, model.embedding_dim)
+        assert 0.0 < scores[0] < 1.0
 
 
 def test_padded_and_unpadded_inference_agree(trained_tiny):
@@ -102,9 +103,9 @@ def test_padded_and_unpadded_inference_agree(trained_tiny):
     feats = [load_features("prosody", u, trained_tiny["base"]) for u in utts]
     batch_scores, batch_emb = infer_component_batch(model, feats)
     for i, f in enumerate(feats):
-        single = infer_component(model, f)
-        assert abs(single.score - batch_scores[i]) < 1e-10
-        assert np.max(np.abs(single.embedding - batch_emb[i])) < 1e-10
+        single_scores, single_emb = infer_component_batch(model, [f])
+        assert abs(single_scores[0] - batch_scores[i]) < 1e-10
+        assert np.max(np.abs(single_emb[0] - batch_emb[i])) < 1e-10
 
 
 def test_training_determinism(tiny_corpus):
@@ -128,10 +129,10 @@ def test_save_load_round_trip(trained_tiny, tmp_path):
     loaded = ComponentModel.load(path)
     u = by_split(trained_tiny["utts"], "test")[2]
     feats = load_features("prosody", u, trained_tiny["base"])
-    a = infer_component(model, feats)
-    b = infer_component(loaded, feats)
-    assert a.score == b.score
-    np.testing.assert_array_equal(a.embedding, b.embedding)
+    a = infer_component_batch(model, [feats])
+    b = infer_component_batch(loaded, [feats])
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_export_and_ingest_round_trip(trained_tiny, tmp_path):

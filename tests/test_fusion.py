@@ -4,18 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from ddsd import fusion
 from ddsd.errors import DataError
 from ddsd.fusion import (
     EMBEDDING_SENTINEL,
+    SCORE_SENTINEL,
     EmbeddingSet,
     FusionModel,
     FusionSample,
     ModalityDropoutConfig,
     ScoreSet,
-    apply_modality_dropout,
-    build_el_model,
     build_fusion,
-    build_sl_model,
     encode_inputs,
     fuse_avg,
     infer_fusion,
@@ -26,6 +25,8 @@ from ddsd.fusion import (
 )
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
 from ddsd.nn import TrainConfig, sigmoid
+
+from oracles import encode_inputs_loop
 
 
 def _sample(scores=None, embeddings=None, label=1, uid="u0"):
@@ -98,17 +99,17 @@ def test_inverse_softmax_monotone():
 
 def test_sl_concat_width_arithmetic():
     for mods in (MODALITIES, ("acoustic", "text", "asr"), ("prosody",)):
-        model = build_sl_model(mods)
+        model = build_fusion("SL", mods)
         assert input_width(model) == len(mods)
         trunk = model.graph.layers[1]
         assert trunk.descriptor()["nin"] == 128 * len(mods)
 
 
 def test_el_concat_width_arithmetic():
-    model = build_el_model(MODALITIES)
+    model = build_fusion("EL", MODALITIES)
     assert input_width(model) == 256 + 128 + 16 + 128
     assert model.graph.layers[1].descriptor()["nin"] == 512
-    verbal = build_el_model(("acoustic", "text", "asr"))
+    verbal = build_fusion("EL", ("acoustic", "text", "asr"))
     assert model.graph.layers[1].descriptor()["nin"] == 512
     assert verbal.graph.layers[1].descriptor()["nin"] == 384
 
@@ -125,7 +126,7 @@ def test_zero_initialized_head_gives_half():
 
 def test_duplicate_modalities_rejected():
     with pytest.raises(ValueError):
-        build_sl_model(("asr", "asr"))
+        build_fusion("SL", ("asr", "asr"))
 
 
 # -- sentinels ----------------------------------------------------------------
@@ -133,8 +134,8 @@ def test_duplicate_modalities_rejected():
 
 def test_sentinel_totality_all_subsets_finite():
     rng = np.random.default_rng(1)
-    sl = build_sl_model(MODALITIES, seed=2)
-    el = build_el_model(MODALITIES, seed=2)
+    sl = build_fusion("SL", MODALITIES, seed=2)
+    el = build_fusion("EL", MODALITIES, seed=2)
     for r in range(len(MODALITIES) + 1):
         for absent in itertools.combinations(MODALITIES, r):
             s = _random_sample(rng)
@@ -148,7 +149,7 @@ def test_sentinel_totality_all_subsets_finite():
 
 
 def test_sl_sentinel_bypasses_inverse_softmax():
-    model = build_sl_model(MODALITIES, seed=0)
+    model = build_fusion("SL", MODALITIES, seed=0)
     s = _random_sample(np.random.default_rng(2))
     s.scores.scores["text"] = None
     x = encode_inputs(model, [s])
@@ -156,7 +157,7 @@ def test_sl_sentinel_bypasses_inverse_softmax():
 
 
 def test_el_sentinel_fill_value():
-    model = build_el_model(MODALITIES, seed=0)
+    model = build_fusion("EL", MODALITIES, seed=0)
     s = _random_sample(np.random.default_rng(3))
     s.embeddings.embeddings["asr"] = None
     x = encode_inputs(model, [s])
@@ -166,7 +167,7 @@ def test_el_sentinel_fill_value():
 
 def test_absent_branch_isolated_from_stale_data():
     # once a modality is absent, changing its original data cannot matter
-    model = build_el_model(MODALITIES, seed=4)
+    model = build_fusion("EL", MODALITIES, seed=4)
     rng = np.random.default_rng(5)
     a = _random_sample(rng)
     b = FusionSample(a.utterance_id, a.label, ScoreSet(dict(a.scores.scores)),
@@ -179,50 +180,129 @@ def test_absent_branch_isolated_from_stale_data():
     assert out_a == out_b
 
 
+# -- encoder against the per-sample oracle ------------------------------------
+
+
+def _subset_samples(rng, copies=3):
+    """copies samples per absence subset; a subset's modalities are None or left out."""
+    samples = []
+    for r in range(len(MODALITIES) + 1):
+        for absent in itertools.combinations(MODALITIES, r):
+            for c in range(copies):
+                s = _random_sample(rng, uid=f"u{len(samples)}")
+                for m in absent:
+                    if c % 2:
+                        s.scores.scores[m] = s.embeddings.embeddings[m] = None
+                    else:
+                        del s.scores.scores[m], s.embeddings.embeddings[m]
+                samples.append(s)
+    return samples
+
+
+@pytest.mark.parametrize("with_drop", [False, True])
+@pytest.mark.parametrize("kind", ["SL", "EL"])
+def test_encoder_matches_per_sample_loop(kind, with_drop):
+    rng = np.random.default_rng(11)
+    samples = _subset_samples(rng)
+    assert len(samples) == 16 * 3
+    dropped = rng.random((len(samples), len(MODALITIES))) < 0.3 if with_drop else None
+    for mods in (MODALITIES, ("prosody", "asr")):
+        model = build_fusion(kind, mods, seed=0)
+        idx = [MODALITIES.index(m) for m in mods]
+        mask = None if dropped is None else dropped[:, idx]
+        x = encode_inputs(model, samples, mask)
+        assert x.shape == (len(samples), input_width(model))
+        np.testing.assert_array_equal(x, encode_inputs_loop(kind, mods, samples, mask))
+
+
+def test_el_wrong_embedding_shape_names_utterance():
+    model = build_fusion("EL", MODALITIES, seed=0)
+    rng = np.random.default_rng(4)
+    good, bad = _random_sample(rng, uid="good"), _random_sample(rng, uid="bad7")
+    bad.embeddings.embeddings["text"] = np.zeros(64)
+    with pytest.raises(DataError, match="bad7"):
+        encode_inputs(model, [good, bad])
+
+
 # -- modality dropout ---------------------------------------------------------
+
+
+def _capture_fit(monkeypatch, epochs_to_draw=0):
+    """Replace fusion.fit; record its arguments and the epoch matrices MD hands it."""
+    seen = {}
+
+    def fake_fit(graph, inputs, labels, val_inputs, val_labels, config, val_metric, log=None,
+                 make_epoch_data=None):
+        seen.update(inputs=inputs, val_inputs=val_inputs)
+        rng = np.random.default_rng(0)
+        seen["epochs"] = [make_epoch_data(e, rng)[0] for e in range(epochs_to_draw)]
+        return [], -1
+
+    monkeypatch.setattr(fusion, "fit", fake_fit)
+    return seen
+
+
+def _train_params(train, val, md, kind="EL"):
+    model = build_fusion(kind, MODALITIES, seed=2)
+    train_fusion(model, train, val, TrainConfig(epochs=4, batch_size=64, seed=2), md=md)
+    return model.graph.snapshot_params()
 
 
 def test_dropout_zero_probability_is_identity():
     rng = np.random.default_rng(0)
-    s = _random_sample(rng)
-    cfg = ModalityDropoutConfig(probs={m: 0.0 for m in MODALITIES})
-    out = apply_modality_dropout(s, cfg, train_mode=True, rng=rng)
-    assert out.scores.scores == s.scores.scores
+    train, val = _toy_fusion_data(rng, 100), _toy_fusion_data(rng, 40)
+    for kind in ("SL", "EL"):
+        plain = _train_params(train, val, None, kind)
+        zero = _train_params(train, val, ModalityDropoutConfig(p=0.0, seed=9), kind)
+        for k in plain:
+            np.testing.assert_array_equal(plain[k], zero[k])
 
 
-def test_dropout_eval_mode_noop():
+def test_dropout_eval_mode_noop(monkeypatch):
+    # the validation matrix fit scores every epoch never sees a drop
     rng = np.random.default_rng(0)
-    s = _random_sample(rng)
-    cfg = ModalityDropoutConfig(probs={m: 1.0 - 1e-9 for m in MODALITIES})
-    out = apply_modality_dropout(s, cfg, train_mode=False, rng=rng)
-    assert out is s
+    train, val = _toy_fusion_data(rng, 50), _toy_fusion_data(rng, 40)
+    seen = _capture_fit(monkeypatch, epochs_to_draw=2)
+    model = build_fusion("SL", MODALITIES, seed=0)
+    train_fusion(model, train, val, TrainConfig(), md=ModalityDropoutConfig(p=0.9, seed=1))
+    np.testing.assert_array_equal(seen["val_inputs"], encode_inputs(model, val))
+    assert not np.any(seen["val_inputs"] == SCORE_SENTINEL)
+    assert all(np.mean(x == SCORE_SENTINEL) > 0.8 for x in seen["epochs"])
 
 
 def test_dropout_all_modalities_still_finite():
     rng = np.random.default_rng(1)
-    model = build_el_model(MODALITIES, seed=0)
-    s = _random_sample(rng)
-    cfg = ModalityDropoutConfig(probs={m: 1.0 - 1e-12 for m in MODALITIES})
-    dropped = apply_modality_dropout(s, cfg, train_mode=True, rng=rng)
-    assert all(not dropped.scores.present(m) for m in MODALITIES)
-    assert np.isfinite(infer_fusion(model, dropped))
+    samples = [_random_sample(rng, uid=f"u{i}") for i in range(5)]
+    everything = np.ones((len(samples), len(MODALITIES)), dtype=bool)
+    for kind in ("SL", "EL"):
+        model = build_fusion(kind, MODALITIES, seed=0)
+        x = encode_inputs(model, samples, everything)
+        assert np.all((x == SCORE_SENTINEL) if kind == "SL" else (x == EMBEDDING_SENTINEL))
+        out = model.graph.forward(x)
+        assert np.all(np.isfinite(out)) and np.all((out > 0) & (out < 1))
 
 
-def test_dropout_empirical_rate_within_3_sigma():
-    rng = np.random.default_rng(7)
-    n = 100_000
-    cfg = ModalityDropoutConfig(probs={m: 0.3 for m in MODALITIES})
-    s = _random_sample(np.random.default_rng(0))
-    drops = {m: 0 for m in MODALITIES}
-    for _ in range(n // 100):
-        # batch the bernoulli draws: each apply call draws once per modality
-        out = apply_modality_dropout(s, cfg, train_mode=True, rng=rng)
-        for m in MODALITIES:
-            drops[m] += not out.scores.present(m)
-    trials = n // 100
-    sigma = math.sqrt(trials * 0.3 * 0.7)
-    for m in MODALITIES:
-        assert abs(drops[m] - trials * 0.3) < 3 * sigma
+def test_dropout_empirical_rate_within_3_sigma(monkeypatch):
+    p, epochs = 0.3, 5
+    train = _toy_fusion_data(np.random.default_rng(7), 2000)
+    seen = _capture_fit(monkeypatch, epochs_to_draw=epochs)
+    model = build_fusion("SL", MODALITIES, seed=0)
+    train_fusion(model, train, train[:10], TrainConfig(), md=ModalityDropoutConfig(p=p, seed=3))
+    assert not np.any(seen["inputs"] == SCORE_SENTINEL)  # toy data has every modality
+    trials = len(train) * epochs
+    sigma = math.sqrt(trials * p * (1 - p))
+    drops = sum(np.sum(x == SCORE_SENTINEL, axis=0) for x in seen["epochs"])
+    assert drops.shape == (len(MODALITIES),)
+    for j in range(len(MODALITIES)):
+        assert abs(drops[j] - trials * p) < 3 * sigma
+    # every epoch redraws
+    assert not np.array_equal(seen["epochs"][0], seen["epochs"][1])
+
+
+def test_dropout_probability_must_be_below_one():
+    for p in (-0.1, 1.0):
+        with pytest.raises(DataError):
+            ModalityDropoutConfig(p=p).validate()
 
 
 # -- training -----------------------------------------------------------------
@@ -263,20 +343,13 @@ def test_train_fusion_with_md_runs_and_is_deterministic():
     rng = np.random.default_rng(1)
     train = _toy_fusion_data(rng, 240)
     val = _toy_fusion_data(rng, 100)
-
-    def run(mode):
-        model = build_el_model(MODALITIES, seed=2)
-        cfg = TrainConfig(epochs=4, batch_size=64, seed=2)
-        md = ModalityDropoutConfig(probs={m: 0.3 for m in MODALITIES}, seed=9, mode=mode)
-        train_fusion(model, train, val, cfg, md=md)
-        return model.graph.snapshot_params()
-
-    a1 = run("sentinel")
-    a2 = run("sentinel")
+    md = ModalityDropoutConfig(p=0.3, seed=9)
+    a1 = _train_params(train, val, md)
+    a2 = _train_params(train, val, md)
     for k in a1:
         np.testing.assert_array_equal(a1[k], a2[k])
-    z = run("zero")  # zero mode exercises the other branch
-    assert any(not np.array_equal(a1[k], z[k]) for k in a1)
+    plain = _train_params(train, val, None)
+    assert any(not np.array_equal(a1[k], plain[k]) for k in a1)
 
 
 def test_avg_model_needs_no_training():

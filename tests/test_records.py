@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsd.data import Record, dump_text, read_records, write_records
+from ddsd.data import Record, read_records, write_records
 from ddsd.errors import DataError
 
 
@@ -70,16 +70,6 @@ def test_absent_modality_round_trip_preserves_flag_and_sentinel(tmp_path):
     assert back[0].payload[0] == -1.0
     assert back[1].present is False
     np.testing.assert_array_equal(back[1].payload, emb)
-
-
-def test_debug_text_dump(tmp_path):
-    rec = Record("u1", "asr", "features", True, np.arange(8, dtype=np.float32))
-    path = tmp_path / "d.rec"
-    write_records(path, [rec])
-    text = dump_text(path)
-    assert "utterance=u1" in text
-    assert "modality=asr" in text
-    assert "shape=[8]" in text
 
 
 @given(

@@ -29,11 +29,11 @@ from .nn import (
     TrainConfig,
     balanced_class_weights,
     fit,
-    pad_batch,
+    pad_batch,  # not called here; perfbench/probes.py wraps components.pad_batch
+    predict,
 )
 
 TEXT_BAG_DIM = 4096
-SEQUENCE_MODALITIES = ("prosody", "acoustic")
 
 # parameter budget of the prosody model (reference: ~50K learnable parameters)
 PROSODY_PARAM_RANGE = (45_000, 56_000)
@@ -177,18 +177,20 @@ def load_features(modality, utt, base_dir):
     return feats
 
 
+def _model_inputs(model, feats):
+    """Standardized features: a list of (T_i, D) sequences if 2-D, else an (N, D) matrix."""
+    if model.standardizer is None:
+        raise DataError("model has no fitted standardizer")
+    std = [model.standardizer.apply(f) for f in feats]
+    return std if not std or std[0].ndim == 2 else np.stack(std)
+
+
 def _prepare_inputs(model, utts, base_dir, fit_standardizer=False):
     feats = [load_features(model.modality, u, base_dir) for u in utts]
     labels = np.array([u.label_int() for u in utts], dtype=np.float64)
     if fit_standardizer:
-        rows = np.concatenate([f if f.ndim == 2 else f[None] for f in feats], axis=0)
-        model.standardizer = Standardizer.fit(rows)
-    if model.standardizer is None:
-        raise DataError("model has no fitted standardizer")
-    std = [model.standardizer.apply(f) for f in feats]
-    if model.modality in SEQUENCE_MODALITIES:
-        return std, labels
-    return np.stack(std), labels
+        model.standardizer = Standardizer.fit(np.concatenate([np.atleast_2d(f) for f in feats]))
+    return _model_inputs(model, feats), labels
 
 
 def train_component(
@@ -229,25 +231,9 @@ def train_component(
     )
 
 
-def infer_component_batch(model, features_list, batch_size=256):
+def infer_component_batch(model, features_list):
     """(scores (N,), embeddings (N, D)) in eval mode."""
-    if model.standardizer is None:
-        raise DataError("model has no fitted standardizer")
-    std = [model.standardizer.apply(f) for f in features_list]
-    n = len(std)
-    scores = np.empty(n)
-    embeddings = np.empty((n, model.embedding_dim))
-    seq = model.modality in SEQUENCE_MODALITIES
-    for start in range(0, n, batch_size):
-        chunk = std[start : start + batch_size]
-        if seq:
-            x, lengths = pad_batch(chunk)
-            out, acts = model.graph.forward_all(x, lengths=lengths)
-        else:
-            out, acts = model.graph.forward_all(np.stack(chunk))
-        scores[start : start + len(chunk)] = out.ravel()
-        embeddings[start : start + len(chunk)] = acts[model.embedding_tap]
-    return scores, embeddings
+    return predict(model.graph, _model_inputs(model, features_list), tap=model.embedding_tap)
 
 
 def export_directedness(models, utts, base_dir, out_dir):

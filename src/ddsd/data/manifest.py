@@ -44,21 +44,37 @@ def write_manifest(path, utts):
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _type_error(u):
+    """What is wrong with the field types of a decoded utterance, or None."""
+    required = ("utterance_id", "label", "split")
+    for name in required + ("speaker_id", "audio_path", "text"):
+        value = getattr(u, name)
+        if not (isinstance(value, str) or (value is None and name not in required)):
+            return f"{name} must be a string, got {value!r}"
+    paths = u.feature_paths
+    if not isinstance(paths, dict) or not all(isinstance(v, str) for v in paths.values()):
+        return f"feature_paths must map names to path strings, got {paths!r}"
+    return None
+
+
 def read_manifest(path):
     utts = []
-    with open(path) as f:
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
                 raise DataError(f"{path}:{line_no}: not valid JSON ({e})") from None
             try:
-                utts.append(Utterance(**row))
+                u = Utterance(**row)
             except TypeError as e:
                 raise DataError(f"{path}:{line_no}: bad manifest record ({e})") from None
+            problem = _type_error(u)
+            if problem:
+                raise DataError(f"{path}:{line_no}: bad manifest record ({problem})")
+            utts.append(u)
     return validate_utterances(utts)
 
 

@@ -56,7 +56,6 @@ class SynthConfig:
     scale: float = 1.0
     separability: dict = field(default_factory=lambda: dict(DEFAULT_SEPARABILITY))
     rho: float = 0.35
-    imbalance: float = None  # None keeps the per-split reference ratios
     seed: int = 0
     sample_rate: int = SAMPLE_RATE
 
@@ -68,22 +67,16 @@ class SynthConfig:
                 raise DataError("separability must be nonnegative")
         if not 0.0 <= self.rho <= 1.0:
             raise DataError("rho must be in [0, 1]")
-        if self.imbalance is not None and self.imbalance <= 0:
-            raise DataError("imbalance must be positive")
         if self.scale <= 0:
             raise DataError("scale must be positive")
         return self
 
     def split_counts(self):
-        out = {}
-        for split, (n_dir, n_not) in BASE_COUNTS.items():
-            d = max(2, int(round(n_dir * self.scale)))
-            if self.imbalance is None:
-                nd = max(2, int(round(n_not * self.scale)))
-            else:
-                nd = max(2, int(round(d * self.imbalance)))
-            out[split] = (d, nd)
-        return out
+        """(directed, not-directed) utterances per split: the reference counts times scale."""
+        return {
+            split: tuple(max(2, int(round(n * self.scale))) for n in counts)
+            for split, counts in BASE_COUNTS.items()
+        }
 
 
 def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base, sr=SAMPLE_RATE):

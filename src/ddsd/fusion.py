@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import compute_eer
 from .modalities import EMBEDDING_DIMS, MODALITIES, check_modalities
-from .nn import Branches, Dense, LayerNorm, ModelGraph, TrainConfig, balanced_class_weights, fit
+from .nn import Branches, Dense, LayerNorm, ModelGraph, TrainConfig, balanced_class_weights, fit, predict
 
 SCORE_SENTINEL = -1.0
 EMBEDDING_SENTINEL = -99999.0
@@ -220,5 +220,4 @@ def infer_fusion(model, sample):
 def infer_fusion_batch(model, samples):
     if model.kind == "AVG":
         return np.array([fuse_avg(s.scores, model.modalities) for s in samples])
-    out = model.graph.forward(encode_inputs(model, samples))
-    return out.ravel()
+    return predict(model.graph, encode_inputs(model, samples))[0]

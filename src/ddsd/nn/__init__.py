@@ -9,7 +9,6 @@ from .layers import (
     GRU,
     LayerNorm,
     Mask,
-    gru_cell,
     layer_from_descriptor,
     sigmoid,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "balanced_class_weights",
     "fit",
     "global_grad_norm",
-    "gru_cell",
     "layer_from_descriptor",
     "pad_batch",
     "predict",

@@ -125,22 +125,6 @@ class Dense(Layer):
         }
 
 
-def gru_cell(x_t, h_prev, w_in, u_zr, u_c, b):
-    """Single GRU step: h = (1-z)*h_prev + z*tanh(...), Cho-style reset gate.
-
-    w_in is (nin, 3H) stacked [z | r | c] input projections, u_zr is (H, 2H)
-    stacked [z | r] recurrent weights, u_c the candidate recurrent weights,
-    b the (3H,) bias.
-    """
-    nh = h_prev.shape[-1]
-    proj = x_t @ w_in + b
-    g = h_prev @ u_zr
-    z = sigmoid(proj[..., :nh] + g[..., :nh])
-    r = sigmoid(proj[..., nh : 2 * nh] + g[..., nh:])
-    c = np.tanh(proj[..., 2 * nh :] + (r * h_prev) @ u_c)
-    return (1.0 - z) * h_prev + z * c
-
-
 class GRU(Layer):
     """Single GRU layer over a padded batch; returns the last valid state.
 
@@ -160,10 +144,6 @@ class GRU(Layer):
         u_c = glorot_uniform(rng, nh, nh)
         self.params = {"w_in": w, "u_zr": u_zr, "u_c": u_c, "b": np.zeros(3 * nh)}
         self._init_grads()
-
-    def cell(self, x_t, h_prev):
-        p = self.params
-        return gru_cell(x_t, h_prev, p["w_in"], p["u_zr"], p["u_c"], p["b"])
 
     def forward(self, x, ctx):
         if x.ndim != 3 or x.shape[2] != self.nin:
@@ -354,6 +334,10 @@ class Branches(Layer):
         super().__init__()
         if len(widths) != len(chains):
             raise ValueError("one chain per input width required")
+        for width, chain in zip(widths, chains):
+            nin = getattr(chain[0], "nin", width) if chain else width
+            if nin != width:
+                raise ValueError(f"branch of width {width} starts with a layer of input width {nin}")
         self.widths = list(widths)
         self.chains = [list(c) for c in chains]
 

@@ -60,23 +60,33 @@ def pad_batch(seqs):
     return out, lengths
 
 
-def _is_sequence_data(inputs):
-    return isinstance(inputs, (list, tuple))
+PREDICT_BATCH = 256
 
 
-def predict(graph, inputs, batch_size=256):
-    """Scores for a dataset in eval mode, batched; returns (N,) array."""
+def _batch(inputs, idx):
+    """Rows idx as (x, lengths): a matrix is indexed, a list of (T_i, D) sequences padded."""
+    if isinstance(inputs, np.ndarray):
+        return inputs[idx], None
+    return pad_batch([inputs[i] for i in idx])
+
+
+def predict(graph, inputs, tap=-1):
+    """Eval-mode pass in batches; returns (scores (N,), outputs of layers[tap] (N, D)).
+
+    inputs is an (N, D) matrix or a list of (T_i, D) sequences, as for fit.
+    """
     n = len(inputs)
     scores = np.empty(n)
-    for start in range(0, n, batch_size):
-        idx = slice(start, min(start + batch_size, n))
-        if _is_sequence_data(inputs):
-            x, lengths = pad_batch(list(inputs[idx]))
-            out = graph.forward(x, lengths=lengths)
-        else:
-            out = graph.forward(inputs[idx])
+    taps = np.empty((n, 0))
+    for start in range(0, n, PREDICT_BATCH):
+        idx = np.arange(start, min(start + PREDICT_BATCH, n))
+        x, lengths = _batch(inputs, idx)
+        out, acts = graph.forward_all(x, lengths=lengths)
+        if start == 0:
+            taps = np.empty((n, acts[tap].shape[1]))
         scores[idx] = out.ravel()
-    return scores
+        taps[idx] = acts[tap]
+    return scores, taps
 
 
 def fit(
@@ -123,11 +133,8 @@ def fit(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            if _is_sequence_data(inputs):
-                x, lengths = pad_batch([inputs[i] for i in idx])
-                out = graph.forward(x, lengths=lengths, train=True, rng=rng)
-            else:
-                out = graph.forward(inputs[idx], train=True, rng=rng)
+            x, lengths = _batch(inputs, idx)
+            out = graph.forward(x, lengths=lengths, train=True, rng=rng)
             y = labels[idx].reshape(out.shape)
             loss, dpred = weighted_bce(out, y, config.class_weights)
             if not np.isfinite(loss):
@@ -138,7 +145,7 @@ def fit(
             total_loss += loss
             n_batches += 1
 
-        val_scores = predict(graph, val_inputs)
+        val_scores, _ = predict(graph, val_inputs)
         metric = float(val_metric(val_scores, val_labels))
         stats = EpochStats(epoch=epoch, train_loss=total_loss / max(n_batches, 1), val_metric=metric)
         history.append(stats)

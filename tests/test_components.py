@@ -45,6 +45,17 @@ def test_zero_head_scores_half():
     assert scores[0] == pytest.approx(0.5)
 
 
+def test_empty_inference_gives_empty_arrays():
+    from ddsd.components import Standardizer
+
+    for modality in ("asr", "prosody"):
+        model = build_component(modality, seed=0)
+        model.standardizer = Standardizer(mean=np.zeros(1), std=np.ones(1))
+        scores, embeddings = infer_component_batch(model, [])
+        assert scores.shape == (0,)
+        assert embeddings.shape[0] == 0
+
+
 def test_trigram_bag_stable_and_sized():
     a = text_trigram_bag("play the music")
     b = text_trigram_bag("play the music")

@@ -13,17 +13,17 @@ import pytest
 from ddsd.components import ComponentModel, build_standin
 from ddsd.data import Record, read_records, write_records
 from ddsd.errors import DataError
-from ddsd.fusion import FusionModel, build_fusion
+from ddsd.fusion import FusionModel, build_fusion, input_width
 from ddsd.nn import ModelGraph
 
 
-def _loads_or_data_error(load, path, data):
+def _load_or_none(load, path, data):
+    """What the loader returns for these bytes, or None if it raised DataError."""
     path.write_bytes(bytes(data))
     try:
-        load(path)
+        return load(path)
     except DataError:
-        return False
-    return True
+        return None
 
 
 def _header_end(raw):
@@ -40,7 +40,7 @@ def el_model_bytes(tmp_path_factory):
 def test_model_truncated_in_header_raises_data_error(el_model_bytes, tmp_path):
     path = tmp_path / "cut.ddm"
     for k in range(_header_end(el_model_bytes) + 1):
-        assert not _loads_or_data_error(FusionModel.load, path, el_model_bytes[:k]), k
+        assert _load_or_none(FusionModel.load, path, el_model_bytes[:k]) is None, k
 
 
 def test_model_bit_flips_in_header_load_or_raise_data_error(el_model_bytes, tmp_path):
@@ -52,8 +52,12 @@ def test_model_bit_flips_in_header_load_or_raise_data_error(el_model_bytes, tmp_
         # every bit of the binary prefix; one bit per JSON byte, cycling through all eight
         for bit in range(8) if k < 16 else (k % 8,):
             data[k] ^= 1 << bit
-            loaded += _loads_or_data_error(FusionModel.load, path, data)
+            model = _load_or_none(FusionModel.load, path, data)
             data[k] ^= 1 << bit
+            if model is not None:
+                # a model that loads must also run on inputs of the width it declares
+                model.graph.forward(np.zeros((2, input_width(model))))
+                loaded += 1
     assert loaded < end // 4  # most flips must be caught, not silently accepted
 
 
@@ -103,9 +107,9 @@ def test_record_file_truncations_and_bit_flips(tmp_path):
     raw = path.read_bytes()
     for k in range(len(raw)):
         # a file cut between records is a valid, shorter file
-        assert _loads_or_data_error(read_records, path, raw[:k]) == (k in (0, boundary)), k
+        assert (_load_or_none(read_records, path, raw[:k]) is not None) == (k in (0, boundary)), k
         data = bytearray(raw)
         for bit in range(8):
             data[k] ^= 1 << bit
-            _loads_or_data_error(read_records, path, data)
+            _load_or_none(read_records, path, data)
             data[k] ^= 1 << bit

@@ -24,7 +24,7 @@ from ddsd.fusion import (
     train_fusion,
 )
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
-from ddsd.nn import TrainConfig, sigmoid
+from ddsd.nn import TrainConfig, sigmoid, train
 
 from oracles import encode_inputs_loop
 
@@ -350,6 +350,22 @@ def test_train_fusion_with_md_runs_and_is_deterministic():
         np.testing.assert_array_equal(a1[k], a2[k])
     plain = _train_params(train, val, None)
     assert any(not np.array_equal(a1[k], plain[k]) for k in a1)
+
+
+@pytest.mark.parametrize("kind", ["SL", "EL"])
+def test_infer_fusion_batch_equals_one_forward_pass(monkeypatch, kind):
+    monkeypatch.setattr(train, "PREDICT_BATCH", 7)
+    rng = np.random.default_rng(31)
+    samples = [_random_sample(rng, uid=f"u{i}") for i in range(30)]
+    for i, s in enumerate(samples[::3]):
+        m = MODALITIES[i % len(MODALITIES)]
+        s.scores.scores[m] = s.embeddings.embeddings[m] = None
+    model = build_fusion(kind, MODALITIES, seed=4)
+    expected = model.graph.forward(encode_inputs(model, samples)).ravel()
+    # OpenBLAS rounds a product of few rows (or a row count off its kernel block) in
+    # another order, so batches of 7 agree with one pass to rounding, not bit for bit
+    np.testing.assert_allclose(infer_fusion_batch(model, samples), expected, rtol=0, atol=1e-14)
+    assert infer_fusion_batch(model, []).shape == (0,)
 
 
 def test_avg_model_needs_no_training():

@@ -1,13 +1,13 @@
-import itertools
+import json
 
 import pytest
 
-from ddsd.data import SPLITS, Utterance, read_manifest, split_manifest, write_manifest
+from ddsd.data import Utterance, read_manifest, write_manifest
 from ddsd.errors import DataError
 
 
-def _utt(i, label="directed", split="test", speaker=None):
-    return Utterance(utterance_id=f"u{i}", label=label, split=split, speaker_id=speaker)
+def _utt(i, label="directed", split="test"):
+    return Utterance(utterance_id=f"u{i}", label=label, split=split)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -41,44 +41,31 @@ def test_malformed_line_rejected(tmp_path):
         read_manifest(path)
 
 
-def test_split_disjointness_with_speakers():
-    utts = []
-    i = 0
-    for spk in range(25):
-        for _ in range(8):
-            utts.append(_utt(i, speaker=f"spk{spk}"))
-            i += 1
-    out = split_manifest(utts, seed=3)
-    by_speaker = {}
-    for u in out:
-        by_speaker.setdefault(u.speaker_id, set()).add(u.split)
-    # speaker-disjoint: every speaker lands in exactly one split
-    assert all(len(s) == 1 for s in by_speaker.values())
-    # utterance-disjoint across splits by construction of unique ids
-    ids = [u.utterance_id for u in out]
-    assert len(set(ids)) == len(ids)
-    assert {u.split for u in out} == set(SPLITS)
+def test_line_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b'{"utterance_id": "u\xff1", "label": "directed", "split": "test"}\n')
+    with pytest.raises(DataError, match=":1:"):
+        read_manifest(path)
 
 
-def test_split_ratios_roughly_honored():
-    utts = [_utt(i) for i in range(1000)]
-    out = split_manifest(utts, seed=0)
-    counts = {s: 0 for s in SPLITS}
-    for u in out:
-        counts[u.split] += 1
-    assert abs(counts["test"] - 180) < 30
-    assert abs(counts["train-comp"] - 360) < 40
-
-
-def test_too_few_speakers_rejected():
-    utts = [_utt(i, speaker=f"spk{i % 3}") for i in range(30)]
-    with pytest.raises(DataError, match="speakers"):
-        split_manifest(utts)
-
-
-def test_split_determinism():
-    utts1 = [_utt(i, speaker=f"spk{i % 20}") for i in range(200)]
-    utts2 = [_utt(i, speaker=f"spk{i % 20}") for i in range(200)]
-    a = split_manifest(utts1, seed=5)
-    b = split_manifest(utts2, seed=5)
-    assert [(u.utterance_id, u.split) for u in a] == [(u.utterance_id, u.split) for u in b]
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("utterance_id", 7),
+        ("utterance_id", None),
+        ("label", ["directed"]),
+        ("split", 1.5),
+        ("speaker_id", 3),
+        ("audio_path", {"a": "b"}),
+        ("text", False),
+        ("feature_paths", ["features/u1.asr.rec"]),
+        ("feature_paths", {"asr": 1}),
+    ],
+)
+def test_wrong_field_types_rejected_with_line(tmp_path, field, value):
+    good = {"utterance_id": "u0", "label": "directed", "split": "test"}
+    bad = {**good, "utterance_id": "u1", field: value}
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=f":2: .*{field}"):
+        read_manifest(path)

@@ -3,6 +3,7 @@ import pytest
 
 from ddsd.errors import DataError, NumericError, ShapeError
 from ddsd.nn import (
+    Branches,
     Context,
     Dense,
     Dropout,
@@ -10,7 +11,6 @@ from ddsd.nn import (
     LayerNorm,
     Mask,
     ModelGraph,
-    gru_cell,
     pad_batch,
     sigmoid,
 )
@@ -33,26 +33,30 @@ def test_zero_dense_sigmoid_is_half():
     np.testing.assert_allclose(graph.forward(x), 0.5)
 
 
-def test_gru_cell_zero_params_zero_state():
-    x = np.random.default_rng(2).normal(size=(1, 3))
-    h = np.zeros((1, 4))
-    out = gru_cell(x, h, np.zeros((3, 12)), np.zeros((4, 8)), np.zeros((4, 4)), np.zeros(12))
+def test_gru_step_zero_params_zero_state():
+    gru = GRU(3, 4)
+    for v in gru.params.values():
+        v[...] = 0.0
+    x = np.random.default_rng(2).normal(size=(1, 1, 3))
+    out = ModelGraph([gru]).forward(x)
     # z = 0.5 and the candidate is tanh(0) = 0, so the new state stays 0
     np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
 
-def test_gru_cell_saturated_update_gate_keeps_state():
+def test_gru_step_saturated_update_gate_keeps_state():
     rng = np.random.default_rng(3)
     nin, nh = 3, 4
-    w_in = rng.normal(size=(nin, 3 * nh)) * 0.1
-    u_zr = rng.normal(size=(nh, 2 * nh)) * 0.1
-    u_c = rng.normal(size=(nh, nh)) * 0.1
-    b = np.zeros(3 * nh)
-    b[:nh] = -40.0  # update-gate bias: z ~ 0 so h_t ~ h_prev
-    x = rng.normal(size=(1, nin)) * 0.01
-    h = rng.uniform(-0.5, 0.5, size=(1, nh))
-    out = gru_cell(x, h, w_in, u_zr, u_c, b)
-    np.testing.assert_allclose(out, h, atol=1e-6)
+    gru = GRU(nin, nh, rng=rng)
+    gru.params["b"][:nh] = -40.0  # update-gate bias: z ~ 0 so h_t ~ h_prev
+    gru.params["b"][2 * nh :] = 1.0  # a candidate far from the zero state
+    x = rng.normal(size=(1, 1, nin)) * 0.01
+    out = ModelGraph([gru]).forward(x)
+    np.testing.assert_allclose(out, np.zeros((1, nh)), atol=1e-6)
+
+
+def test_branch_must_start_with_its_width():
+    with pytest.raises(ValueError, match="width 16"):
+        Branches([16], [[Dense(12, 4)]])
 
 
 def _scalar_gru_oracle(x_seq, w_in, u_zr, u_c, b, nh):

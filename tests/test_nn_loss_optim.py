@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from ddsd.errors import DataError, NumericError
-from ddsd.nn import Adam, Dense, ModelGraph, TrainConfig, balanced_class_weights, weighted_bce
+from ddsd.metrics import compute_eer
+from ddsd.nn import (
+    GRU,
+    Adam,
+    Dense,
+    LayerNorm,
+    Mask,
+    ModelGraph,
+    TrainConfig,
+    balanced_class_weights,
+    fit,
+    pad_batch,
+    predict,
+    weighted_bce,
+)
+from ddsd.nn import train
 
 
 def test_bce_half_prediction_positive():
@@ -118,3 +133,47 @@ def test_balanced_class_weights():
     assert w_neg == 1.0
     with pytest.raises(DataError):
         balanced_class_weights(np.zeros(4))
+
+
+def _vector_graph(rng):
+    return ModelGraph([Dense(4, 6, "tanh", rng=rng), LayerNorm(6), Dense(6, 1, "sigmoid", rng=rng)])
+
+
+def _sequence_graph(rng):
+    return ModelGraph([Mask(), GRU(3, 5, rng=rng), Dense(5, 1, "sigmoid", rng=rng)])
+
+
+@pytest.mark.parametrize("sequences", [False, True], ids=["vectors", "sequences"])
+def test_predict_batches_equal_one_forward_pass(monkeypatch, sequences):
+    monkeypatch.setattr(train, "PREDICT_BATCH", 4)
+    rng = np.random.default_rng(21)
+    n = 11  # three batches, the last one short
+    if sequences:
+        graph = _sequence_graph(rng)
+        inputs = [rng.normal(size=(t, 3)) for t in rng.integers(1, 9, size=n)]
+        x, lengths = pad_batch(inputs)
+    else:
+        graph = _vector_graph(rng)
+        inputs = rng.normal(size=(n, 4))
+        x, lengths = inputs, None
+    out, acts = graph.forward_all(x, lengths=lengths)
+    for tap in (-1, 1):
+        scores, taps = predict(graph, inputs, tap=tap)
+        np.testing.assert_array_equal(scores, out.ravel())
+        np.testing.assert_array_equal(taps, acts[tap])
+
+
+def test_predict_empty_input_gives_empty_arrays():
+    rng = np.random.default_rng(22)
+    for graph, inputs in ((_vector_graph(rng), np.empty((0, 4))), (_sequence_graph(rng), [])):
+        scores, taps = predict(graph, inputs)
+        assert scores.shape == (0,)
+        assert taps.shape[0] == 0
+
+
+def test_fit_with_empty_validation_set_raises_data_error():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(8, 4))
+    y = np.array([0, 1] * 4)
+    with pytest.raises(DataError, match="both classes"):
+        fit(_vector_graph(rng), x, y, np.empty((0, 4)), np.empty(0), TrainConfig(epochs=1), compute_eer)

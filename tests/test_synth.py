@@ -36,9 +36,6 @@ def test_split_counts_follow_reference_ratios():
     assert counts["test"] == (310, 1700)
     small = SynthConfig(scale=0.1).split_counts()
     assert small["train-comp"] == (52, 300)
-    # imbalance override rewrites the not-directed side
-    forced = SynthConfig(scale=0.1, imbalance=2.0).split_counts()
-    assert forced["train-comp"] == (52, 104)
 
 
 def test_generated_corpus_structure(tmp_path):

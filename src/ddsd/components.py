@@ -1,11 +1,12 @@
 """Single-modality directedness models.
 
-The prosody classifier is the full-fidelity model: mask -> GRU(5->128) ->
-last valid step -> layer norm -> dropout(0.2) -> dense sigmoid head, with
-the 128-dim pre-normalization GRU output exported as the fusion embedding.
+The prosody classifier is the full-fidelity model: GRU(5->128) over the
+valid frames -> layer norm -> dropout(0.2) -> dense sigmoid head, with the
+128-dim pre-normalization GRU output exported as the fusion embedding.
 The acoustic/text/asr models are lightweight stand-ins that honor the same
-interface contract: a directedness score plus a fixed-size penultimate
-embedding (256 / 128 / 16).
+interface contract: a directedness score plus a fixed-size embedding
+(256 / 128 / 16). In every component model the embedding is the output of
+layer 0.
 """
 
 import os
@@ -24,7 +25,6 @@ from .nn import (
     Dropout,
     GRU,
     LayerNorm,
-    Mask,
     ModelGraph,
     TrainConfig,
     balanced_class_weights,
@@ -34,9 +34,6 @@ from .nn import (
 )
 
 TEXT_BAG_DIM = 4096
-
-# parameter budget of the prosody model (reference: ~50K learnable parameters)
-PROSODY_PARAM_RANGE = (45_000, 56_000)
 
 
 @dataclass
@@ -57,9 +54,10 @@ class Standardizer:
 
 @dataclass
 class ComponentModel:
+    """A component graph whose layer 0 outputs the modality's fusion embedding."""
+
     modality: str
     graph: ModelGraph
-    embedding_tap: int  # index of the layer whose output is the embedding
     standardizer: Standardizer = None
 
     @property
@@ -67,11 +65,7 @@ class ComponentModel:
         return EMBEDDING_DIMS[self.modality]
 
     def save(self, path):
-        self.graph.meta = {
-            "type": "component",
-            "modality": self.modality,
-            "embedding_tap": self.embedding_tap,
-        }
+        self.graph.meta = {"type": "component", "modality": self.modality}
         self.graph.extras = {}
         if self.standardizer is not None:
             self.graph.extras["standardizer_mean"] = self.standardizer.mean
@@ -83,68 +77,42 @@ class ComponentModel:
         graph = ModelGraph.load(path)
         if graph.meta.get("type") != "component":
             raise DataError(f"{path}: not a component model file")
-        try:
-            modality = graph.meta["modality"]
-            tap = graph.meta["embedding_tap"]
-            std = None
-            if "standardizer_mean" in graph.extras:
-                std = Standardizer(
-                    mean=graph.extras["standardizer_mean"],
-                    std=graph.extras["standardizer_std"],
-                )
-        except KeyError as e:
-            raise DataError(f"{path}: component model file lacks {e}") from None
-        if modality not in MODALITIES or not isinstance(tap, int) or not 0 <= tap < len(graph.layers):
-            raise DataError(f"{path}: bad component metadata modality={modality!r} embedding_tap={tap!r}")
-        return cls(modality=modality, graph=graph, embedding_tap=tap, standardizer=std)
+        modality = graph.meta.get("modality")
+        if modality not in MODALITIES:
+            raise DataError(f"{path}: bad component modality {modality!r}")
+        first = graph.layers[0].descriptor() if graph.layers else {}
+        width = first.get("nhidden", first.get("nout"))
+        if width != EMBEDDING_DIMS[modality]:
+            raise DataError(
+                f"{path}: layer 0 outputs width {width}, but {modality} embeddings have width "
+                f"{EMBEDDING_DIMS[modality]}"
+            )
+        std = None
+        if graph.extras:
+            nin = first["nin"]  # layer 0 is a Dense or a GRU: only they have these widths
+            shapes = {name: arr.shape for name, arr in graph.extras.items()}
+            if shapes != {"standardizer_mean": (nin,), "standardizer_std": (nin,)}:
+                raise DataError(f"{path}: standardizer does not match the {nin} input features of layer 0")
+            std = Standardizer(mean=graph.extras["standardizer_mean"], std=graph.extras["standardizer_std"])
+        return cls(modality=modality, graph=graph, standardizer=std)
 
 
-def build_prosody_model(seed=0):
-    rng = np.random.default_rng(seed)
-    graph = ModelGraph(
-        [
-            Mask(),
-            GRU(5, 128, rng=rng),
-            LayerNorm(128),
-            Dropout(0.2),
-            Dense(128, 1, "sigmoid", rng=rng),
-        ],
-        rng_seed=seed,
-    )
-    n = graph.num_params()
-    assert PROSODY_PARAM_RANGE[0] <= n <= PROSODY_PARAM_RANGE[1], n
-    model = ComponentModel(modality="prosody", graph=graph, embedding_tap=1)
-    assert _tap_width(model) == EMBEDDING_DIMS["prosody"]
-    return model
-
-
-def build_standin(modality, seed=0):
-    rng = np.random.default_rng(seed)
-    if modality == "acoustic":
-        layers = [Mask(), GRU(40, 256, rng=rng), Dense(256, 1, "sigmoid", rng=rng)]
-        tap = 1
-    elif modality == "text":
-        layers = [Dense(TEXT_BAG_DIM, 128, "relu", rng=rng), Dense(128, 1, "sigmoid", rng=rng)]
-        tap = 0
-    elif modality == "asr":
-        layers = [Dense(8, 16, "relu", rng=rng), Dense(16, 1, "sigmoid", rng=rng)]
-        tap = 0
-    else:
-        raise DataError(f"no stand-in for modality {modality!r}")
-    model = ComponentModel(modality=modality, graph=ModelGraph(layers, rng_seed=seed), embedding_tap=tap)
-    assert _tap_width(model) == EMBEDDING_DIMS[modality]
-    return model
-
-
-def _tap_width(model):
-    desc = model.graph.layers[model.embedding_tap].descriptor()
-    return desc["nhidden"] if desc["kind"] == "gru" else desc["nout"]
+# layers from the features up to the sigmoid head; layer 0 outputs the embedding
+_BODIES = {
+    "acoustic": lambda rng: [GRU(40, 256, rng=rng)],
+    "text": lambda rng: [Dense(TEXT_BAG_DIM, 128, "relu", rng=rng)],
+    "asr": lambda rng: [Dense(8, 16, "relu", rng=rng)],
+    # the paper's prosody model: ~50K parameters, GRU -> layer norm -> dropout -> head
+    "prosody": lambda rng: [GRU(5, 128, rng=rng), LayerNorm(128), Dropout(0.2)],
+}
 
 
 def build_component(modality, seed=0):
-    if modality == "prosody":
-        return build_prosody_model(seed)
-    return build_standin(modality, seed)
+    if modality not in _BODIES:
+        raise DataError(f"no component model for modality {modality!r}")
+    rng = np.random.default_rng(seed)
+    layers = _BODIES[modality](rng) + [Dense(EMBEDDING_DIMS[modality], 1, "sigmoid", rng=rng)]
+    return ComponentModel(modality=modality, graph=ModelGraph(layers, rng_seed=seed))
 
 
 def text_trigram_bag(text, dim=TEXT_BAG_DIM):
@@ -232,8 +200,8 @@ def train_component(
 
 
 def infer_component_batch(model, features_list):
-    """(scores (N,), embeddings (N, D)) in eval mode."""
-    return predict(model.graph, _model_inputs(model, features_list), tap=model.embedding_tap)
+    """(scores (N,), embeddings: outputs of layer 0 (N, D)) in eval mode."""
+    return predict(model.graph, _model_inputs(model, features_list), tap=0)
 
 
 def export_directedness(models, utts, base_dir, out_dir):

@@ -13,7 +13,8 @@ Three schemes over the component models' directedness outputs:
 Modality dropout (MD) trains SL/EL on what inference sees when a modality is
 missing: each epoch, every (sample, modality) input is independently
 replaced, with one probability p for all modalities, by the same sentinel
-encoding. Training and inference share one encoder with one absence mask.
+encoding. Training and inference share one encoder; MD writes the same
+sentinel over the dropped column blocks of its output.
 """
 
 from dataclasses import dataclass
@@ -144,21 +145,15 @@ def input_width(model):
     return sum(_widths(model.kind, model.modalities))
 
 
-def encode_inputs(model, samples, dropped=None):
-    """(N, width) network input matrix with sentinel encoding of absences.
-
-    dropped: optional (N, M) boolean mask of modalities to treat as absent
-    on top of genuinely missing ones (training-time modality dropout).
-    """
+def encode_inputs(model, samples):
+    """(N, width) network input matrix with sentinel encoding of absences."""
     sl = model.kind == "SL"
     widths = _widths(model.kind, model.modalities)
     x = np.empty((len(samples), sum(widths)))
     col = 0
-    for j, (m, width) in enumerate(zip(model.modalities, widths)):
+    for m, width in zip(model.modalities, widths):
         values = [(s.scores.scores if sl else s.embeddings.embeddings).get(m) for s in samples]
         absent = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
-        if dropped is not None:
-            absent |= dropped[:, j]
         rows = np.flatnonzero(~absent)
         present = [values[i] for i in rows]
         block = slice(col, col + width)
@@ -182,7 +177,8 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
 
     With a ModalityDropoutConfig, each epoch redraws, independently per
     sample and modality with probability md.p, which branch inputs are
-    replaced by the missing-data sentinel.
+    replaced by the missing-data sentinel. The training set is encoded once;
+    an epoch's matrix is a copy with the dropped column blocks overwritten.
     """
     if model.kind == "AVG":
         return [], -1
@@ -196,16 +192,20 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
     if config.class_weights == (1.0, 1.0):
         config.class_weights = balanced_class_weights(labels)
 
+    train_x = encode_inputs(model, train_samples)
     make_epoch_data = None
     if md is not None:
         md.validate()
         md_rng = np.random.default_rng(md.seed)
+        column_modality = np.repeat(np.arange(len(model.modalities)), _widths(model.kind, model.modalities))
+        sentinel = SCORE_SENTINEL if model.kind == "SL" else EMBEDDING_SENTINEL
 
         def make_epoch_data(epoch, rng):
             drop = md_rng.random((len(train_samples), len(model.modalities))) < md.p
-            return encode_inputs(model, train_samples, drop), labels
+            x = train_x.copy()
+            x[drop[:, column_modality]] = sentinel
+            return x, labels
 
-    train_x = encode_inputs(model, train_samples)
     return fit(
         model.graph, train_x, labels, val_x, val_y, config, compute_eer,
         log=log, make_epoch_data=make_epoch_data,

@@ -8,7 +8,6 @@ from .layers import (
     Dropout,
     GRU,
     LayerNorm,
-    Mask,
     layer_from_descriptor,
     sigmoid,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "EpochStats",
     "GRU",
     "LayerNorm",
-    "Mask",
     "ModelGraph",
     "TrainConfig",
     "balanced_class_weights",

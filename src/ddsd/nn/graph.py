@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from ..errors import DataError, NumericError, ShapeError
-from .layers import Branches, Mask, layer_from_descriptor, Context
+from .layers import Branches, layer_from_descriptor, Context
 
 MAGIC = b"DDSDMDL1"
 VERSION = 1
@@ -36,7 +36,6 @@ class ModelGraph:
         self.rng_seed = rng_seed
         self.meta = dict(meta or {})
         self.extras = {}
-        self._has_mask = any(isinstance(l, Mask) for l in self.layers)
 
     # -- forward / backward -------------------------------------------------
 
@@ -49,10 +48,6 @@ class ModelGraph:
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite values in forward input")
-        if self._has_mask and lengths is None:
-            raise DataError("graph has a mask layer: per-sample lengths are required")
-        if not self._has_mask and lengths is not None:
-            raise DataError("graph has no mask layer but lengths were supplied")
         ctx = Context(train=train, lengths=lengths, rng=rng)
         acts = []
         for i, layer in enumerate(self.layers):

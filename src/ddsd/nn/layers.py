@@ -126,11 +126,12 @@ class Dense(Layer):
 
 
 class GRU(Layer):
-    """Single GRU layer over a padded batch; returns the last valid state.
+    """Single GRU layer over a padded batch; returns each sample's last valid state.
 
-    Input (B, T, nin) plus per-sample valid lengths via the context; the
-    state is frozen once a sample's length is exhausted, so the final state
-    equals the state at the last valid timestep.
+    Input (B, T, nin) plus per-sample valid lengths via the context (all T
+    when absent). The recurrence is causal, so padding after a sample's end
+    never reaches its state at step lengths[i]: every step runs unmasked and
+    the output is read from the stored states.
     """
 
     def __init__(self, nin, nhidden, rng=None):
@@ -155,15 +156,11 @@ class GRU(Layer):
         nh = self.nhidden
         p = self.params
 
-        if ctx.lengths is None:
-            mask = None
-        else:
-            lengths = np.asarray(ctx.lengths)
-            if lengths.shape != (nb,):
-                raise ShapeError(
-                    f"GRU lengths shape {tuple(lengths.shape)} does not match batch {nb}"
-                )
-            mask = (np.arange(nt)[None, :] < lengths[:, None]).astype(np.float64)
+        lengths = np.full(nb, nt) if ctx.lengths is None else np.asarray(ctx.lengths)
+        if lengths.shape != (nb,) or not np.issubdtype(lengths.dtype, np.integer):
+            raise ShapeError(f"GRU lengths of shape {tuple(lengths.shape)} do not match batch {nb}")
+        if np.any((lengths < 0) | (lengths > nt)):
+            raise ShapeError(f"GRU lengths must lie in [0, {nt}]")
 
         proj = (x.reshape(nb * nt, self.nin) @ p["w_in"] + p["b"]).reshape(nb, nt, 3 * nh)
         h = np.zeros((nb, nh))
@@ -178,47 +175,38 @@ class GRU(Layer):
             z = sigmoid(proj[:, t, :nh] + g[:, :nh])
             r = sigmoid(proj[:, t, nh : 2 * nh] + g[:, nh:])
             c = np.tanh(proj[:, t, 2 * nh :] + (r * h) @ p["u_c"])
-            h_new = (1.0 - z) * h + z * c
-            if mask is not None:
-                m = mask[:, t : t + 1]
-                h = m * h_new + (1.0 - m) * h
-            else:
-                h = h_new
+            h = (1.0 - z) * h + z * c
             h_all[t + 1] = h
             zs[t] = z
             rs[t] = r
             cs[t] = c
 
         self._x = x
-        self._mask = mask
+        self._lengths = lengths
         self._h_all = h_all
         self._z = zs
         self._r = rs
         self._c = cs
-        return h
+        return h_all[lengths, np.arange(nb)]
 
     def backward(self, dy):
-        x, mask = self._x, self._mask
+        x, last = self._x, self._lengths - 1
         nb, nt, _ = x.shape
         nh = self.nhidden
         p, g = self.params, self.grads
 
-        dh = dy.copy()
+        dh = np.zeros_like(dy)
         dproj = np.empty((nb, nt, 3 * nh))
         for t in range(nt - 1, -1, -1):
+            # the output of sample i is its state after step lengths[i] - 1
+            ends = last == t
+            dh[ends] += dy[ends]
             h_prev = self._h_all[t]
             z, r, c = self._z[t], self._r[t], self._c[t]
-            if mask is not None:
-                m = mask[:, t : t + 1]
-                dh_new = dh * m
-                dh = dh * (1.0 - m)
-            else:
-                dh_new = dh
-                dh = np.zeros_like(dh)
 
-            dz = dh_new * (c - h_prev)
-            dc = dh_new * z
-            dh += dh_new * (1.0 - z)
+            dz = dh * (c - h_prev)
+            dc = dh * z
+            dh = dh * (1.0 - z)
 
             dac = dc * (1.0 - c**2)
             drh = dac @ p["u_c"].T
@@ -309,19 +297,6 @@ class Dropout(Layer):
         return {"kind": "dropout", "rate": self.rate}
 
 
-class Mask(Layer):
-    """Marker layer: declares that the graph consumes per-sample lengths."""
-
-    def forward(self, x, ctx):
-        return x
-
-    def backward(self, dy):
-        return dy
-
-    def descriptor(self):
-        return {"kind": "mask"}
-
-
 class Branches(Layer):
     """Parallel sub-chains over a width-partitioned input, concatenated out.
 
@@ -390,8 +365,6 @@ def layer_from_descriptor(desc, rng=None):
         return LayerNorm(desc["dim"])
     if kind == "dropout":
         return Dropout(desc["rate"])
-    if kind == "mask":
-        return Mask()
     if kind == "branches":
         chains = [
             [layer_from_descriptor(d, rng=rng) for d in chain] for chain in desc["chains"]

@@ -11,6 +11,7 @@ import numpy as np
 from ddsd.dsp.pitch import CANDIDATE_FLOOR, F0_MAX, F0_MIN, MAX_CANDIDATES, OCTAVE_COST
 from ddsd.fusion import EMBEDDING_SENTINEL, SCORE_CLAMP, SCORE_SENTINEL
 from ddsd.modalities import EMBEDDING_DIMS
+from ddsd.nn import sigmoid
 
 
 def brute_force_det(scores, labels):
@@ -375,3 +376,59 @@ def encode_inputs_loop(kind, modalities, samples, dropped=None):
                 x[i, col : col + d] = EMBEDDING_SENTINEL if e is None or force_absent else e
                 col += d
     return x
+
+
+def gru_masked_loop(params, x, lengths, dy):
+    """GRU forward and backward that freeze each sample's state after its length.
+
+    The per-step masked update: h = m * h_new + (1 - m) * h with m = [t < length],
+    and the matching masked backward. Returns (last states (B, H), input
+    gradient (B, T, D), parameter gradients keyed like GRU.params).
+    """
+    nb, nt, nin = x.shape
+    nh = params["u_c"].shape[0]
+    mask = (np.arange(nt)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+    proj = (x.reshape(nb * nt, nin) @ params["w_in"] + params["b"]).reshape(nb, nt, 3 * nh)
+    h = np.zeros((nb, nh))
+    h_all, zs, rs, cs = [h], [], [], []
+    for t in range(nt):
+        g = h @ params["u_zr"]
+        z = sigmoid(proj[:, t, :nh] + g[:, :nh])
+        r = sigmoid(proj[:, t, nh : 2 * nh] + g[:, nh:])
+        c = np.tanh(proj[:, t, 2 * nh :] + (r * h) @ params["u_c"])
+        h_new = (1.0 - z) * h + z * c
+        m = mask[:, t : t + 1]
+        h = m * h_new + (1.0 - m) * h
+        h_all.append(h)
+        zs.append(z)
+        rs.append(r)
+        cs.append(c)
+
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dh = dy.copy()
+    dproj = np.empty((nb, nt, 3 * nh))
+    for t in range(nt - 1, -1, -1):
+        h_prev, z, r, c = h_all[t], zs[t], rs[t], cs[t]
+        m = mask[:, t : t + 1]
+        dh_new = dh * m
+        dh = dh * (1.0 - m)
+        dz = dh_new * (c - h_prev)
+        dc = dh_new * z
+        dh += dh_new * (1.0 - z)
+        dac = dc * (1.0 - c**2)
+        drh = dac @ params["u_c"].T
+        grads["u_c"] += (r * h_prev).T @ dac
+        dr = drh * h_prev
+        dh += drh * r
+        daz = dz * z * (1.0 - z)
+        dar = dr * r * (1.0 - r)
+        dg = np.concatenate([daz, dar], axis=1)
+        grads["u_zr"] += h_prev.T @ dg
+        dh += dg @ params["u_zr"].T
+        dproj[:, t, :nh] = daz
+        dproj[:, t, nh : 2 * nh] = dar
+        dproj[:, t, 2 * nh :] = dac
+    flat = dproj.reshape(nb * nt, 3 * nh)
+    grads["w_in"] += x.reshape(nb * nt, nin).T @ flat
+    grads["b"] += flat.sum(axis=0)
+    return h, (flat @ params["w_in"].T).reshape(nb, nt, nin), grads

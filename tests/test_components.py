@@ -4,8 +4,6 @@ import pytest
 from ddsd.components import (
     ComponentModel,
     build_component,
-    build_prosody_model,
-    build_standin,
     infer_component_batch,
     ingest_precomputed,
     export_directedness,
@@ -20,7 +18,7 @@ from ddsd.nn import Context, TrainConfig
 
 
 def test_prosody_parameter_budget():
-    model = build_prosody_model(seed=0)
+    model = build_component("prosody", seed=0)
     n = model.graph.num_params()
     assert 45_000 <= n <= 56_000
     # GRU(5->128) single-bias gates + layer norm + scalar head
@@ -28,13 +26,14 @@ def test_prosody_parameter_budget():
 
 
 def test_standin_embedding_dims():
-    for modality in ("acoustic", "text", "asr"):
-        model = build_standin(modality, seed=1)
-        assert model.embedding_dim == EMBEDDING_DIMS[modality]
+    for modality in MODALITIES:
+        model = build_component(modality, seed=1)
+        first = model.graph.layers[0].descriptor()  # layer 0 outputs the embedding
+        assert first.get("nhidden", first.get("nout")) == model.embedding_dim == EMBEDDING_DIMS[modality]
 
 
 def test_zero_head_scores_half():
-    model = build_standin("asr", seed=2)
+    model = build_component("asr", seed=2)
     head = model.graph.layers[-1]
     head.params["w"][...] = 0.0
     head.params["b"][...] = 0.0
@@ -99,9 +98,9 @@ def test_embedding_score_consistency(trained_tiny):
         u = by_split(trained_tiny["utts"], "test")[1]
         feats = load_features(modality, u, trained_tiny["base"])
         scores, embeddings = infer_component_batch(model, [feats])
-        # the layers after the embedding tap, in eval mode, re-score the embedding
+        # the layers after layer 0, in eval mode, re-score the embedding
         x, ctx = embeddings, Context(train=False)
-        for layer in model.graph.layers[model.embedding_tap + 1 :]:
+        for layer in model.graph.layers[1:]:
             x = layer.forward(x, ctx)
         assert abs(x[0, 0] - scores[0]) < 1e-10
         assert embeddings.shape == (1, model.embedding_dim)
@@ -182,4 +181,4 @@ def test_ingest_rejects_bad_dims(trained_tiny, tmp_path):
 
 def test_unknown_modality_rejected():
     with pytest.raises(DataError):
-        build_standin("vision")
+        build_component("vision")

@@ -1,20 +1,22 @@
 """Corrupt model and record files: a decoder either loads them or raises DataError.
 
 Deterministic byte-level fuzzing: truncation at every byte of a saved EL
-fusion model's header, a bit flip in every header byte, and corrupt record
-files. Any other exception type escaping a loader is a bug.
+fusion model's header, a bit flip in every header byte of an EL fusion model
+and of an ASR component model, and corrupt record files. Any other exception
+type escaping a loader is a bug.
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from ddsd.components import ComponentModel, build_standin
+from ddsd.components import ComponentModel, Standardizer, build_component, infer_component_batch
 from ddsd.data import Record, read_records, write_records
 from ddsd.errors import DataError
 from ddsd.fusion import FusionModel, build_fusion, input_width
-from ddsd.nn import ModelGraph
+from ddsd.nn import Dense, ModelGraph
 
 
 def _load_or_none(load, path, data):
@@ -43,22 +45,45 @@ def test_model_truncated_in_header_raises_data_error(el_model_bytes, tmp_path):
         assert _load_or_none(FusionModel.load, path, el_model_bytes[:k]) is None, k
 
 
-def test_model_bit_flips_in_header_load_or_raise_data_error(el_model_bytes, tmp_path):
-    path = tmp_path / "flip.ddm"
-    end = _header_end(el_model_bytes)
+def _flip_header_bits(raw, path, load, check):
+    """Flip every bit of the binary prefix and one bit of each JSON header byte.
+
+    check runs on every model that still loads; returns how many loaded.
+    """
+    end = _header_end(raw)
     loaded = 0
     for k in range(end):
-        data = bytearray(el_model_bytes)
+        data = bytearray(raw)
         # every bit of the binary prefix; one bit per JSON byte, cycling through all eight
         for bit in range(8) if k < 16 else (k % 8,):
             data[k] ^= 1 << bit
-            model = _load_or_none(FusionModel.load, path, data)
+            model = _load_or_none(load, path, data)
             data[k] ^= 1 << bit
             if model is not None:
-                # a model that loads must also run on inputs of the width it declares
-                model.graph.forward(np.zeros((2, input_width(model))))
+                check(model)
                 loaded += 1
     assert loaded < end // 4  # most flips must be caught, not silently accepted
+    return loaded
+
+
+def test_model_bit_flips_in_header_load_or_raise_data_error(el_model_bytes, tmp_path):
+    # a model that loads must also run on inputs of the width it declares
+    _flip_header_bits(el_model_bytes, tmp_path / "flip.ddm", FusionModel.load,
+                      lambda model: model.graph.forward(np.zeros((2, input_width(model)))))
+
+
+def test_component_bit_flips_in_header_keep_the_embedding_width(tmp_path):
+    path = tmp_path / "asr.ddm"
+    model = build_component("asr", seed=0)
+    model.standardizer = Standardizer(mean=np.linspace(-1, 1, 8), std=np.linspace(1, 2, 8))
+    model.save(path)
+    feats = [np.random.default_rng(0).normal(size=8) for _ in range(3)]
+
+    def check(loaded):
+        scores, embeddings = infer_component_batch(loaded, feats)
+        assert scores.shape == (3,) and embeddings.shape == (3, 16)
+
+    assert _flip_header_bits(path.read_bytes(), tmp_path / "flip.ddm", ComponentModel.load, check) > 0
 
 
 def test_model_file_shorter_than_its_prefix(tmp_path):
@@ -77,12 +102,37 @@ def test_model_metadata_fields_are_checked(tmp_path):
         graph.save(path)
         with pytest.raises(DataError, match=str(path)):
             FusionModel.load(path)
-    component = build_standin("asr").graph
-    for meta in ({"type": "component"}, {"type": "component", "modality": "asr", "embedding_tap": 9}):
+    component = build_component("asr").graph
+    for meta in ({"type": "component"}, {"type": "component", "modality": "vision"},
+                 {"type": "component", "modality": "prosody"}):
         component.meta = meta
         component.save(path)
         with pytest.raises(DataError, match=str(path)):
             ComponentModel.load(path)
+    # prosody weights labelled asr: layer 0 outputs 128 columns, asr embeddings have 16
+    prosody = build_component("prosody")
+    prosody.modality = "asr"
+    # asr weights whose layer 0 is the sigmoid head
+    headless = ComponentModel("asr", ModelGraph([Dense(16, 1, "sigmoid")]))
+    for model in (prosody, headless):
+        model.save(path)
+        with pytest.raises(DataError, match=f"{path}: layer 0 outputs width"):
+            ComponentModel.load(path)
+
+
+def test_model_file_with_a_mask_layer_raises_data_error(tmp_path):
+    # the layout of older prosody files: a parameterless "mask" marker before the GRU
+    path = tmp_path / "old.ddm"
+    build_component("prosody").save(path)
+    raw = path.read_bytes()
+    end = _header_end(raw)
+    header = json.loads(raw[16:end])
+    header["layers"].insert(0, {"kind": "mask"})
+    header["params"] = [[f"L{int(name[1]) + 1}{name[2:]}", shape] for name, shape in header["params"]]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[end:])
+    with pytest.raises(DataError, match="mask"):
+        ComponentModel.load(path)
 
 
 def test_record_with_corrupt_utterance_id_raises_data_error(tmp_path):

@@ -199,20 +199,34 @@ def _subset_samples(rng, copies=3):
     return samples
 
 
+def _md_epochs(monkeypatch, model, samples, md, epochs):
+    """The epoch matrices train_fusion hands fit under MD, and the drop masks behind them."""
+    seen = _capture_fit(monkeypatch, epochs_to_draw=epochs)
+    # explicit class weights: the samples need not hold both classes
+    train_fusion(model, samples, samples[:2], TrainConfig(class_weights=(2.0, 1.0)), md=md)
+    md_rng = np.random.default_rng(md.seed)
+    drops = [md_rng.random((len(samples), len(model.modalities))) < md.p for _ in range(epochs)]
+    return seen["epochs"], drops
+
+
 @pytest.mark.parametrize("with_drop", [False, True])
 @pytest.mark.parametrize("kind", ["SL", "EL"])
-def test_encoder_matches_per_sample_loop(kind, with_drop):
+def test_encoder_matches_per_sample_loop(monkeypatch, kind, with_drop):
     rng = np.random.default_rng(11)
     samples = _subset_samples(rng)
     assert len(samples) == 16 * 3
-    dropped = rng.random((len(samples), len(MODALITIES))) < 0.3 if with_drop else None
     for mods in (MODALITIES, ("prosody", "asr")):
         model = build_fusion(kind, mods, seed=0)
-        idx = [MODALITIES.index(m) for m in mods]
-        mask = None if dropped is None else dropped[:, idx]
-        x = encode_inputs(model, samples, mask)
-        assert x.shape == (len(samples), input_width(model))
-        np.testing.assert_array_equal(x, encode_inputs_loop(kind, mods, samples, mask))
+        if not with_drop:
+            x = encode_inputs(model, samples)
+            assert x.shape == (len(samples), input_width(model))
+            np.testing.assert_array_equal(x, encode_inputs_loop(kind, mods, samples))
+            continue
+        # MD: each epoch matrix is the oracle's encoding under that epoch's draws
+        epochs, drops = _md_epochs(monkeypatch, model, samples, ModalityDropoutConfig(p=0.3, seed=5), 3)
+        assert any(d.any() for d in drops)
+        for x, drop in zip(epochs, drops):
+            np.testing.assert_array_equal(x, encode_inputs_loop(kind, mods, samples, drop))
 
 
 def test_el_wrong_embedding_shape_names_utterance():
@@ -270,13 +284,15 @@ def test_dropout_eval_mode_noop(monkeypatch):
     assert all(np.mean(x == SCORE_SENTINEL) > 0.8 for x in seen["epochs"])
 
 
-def test_dropout_all_modalities_still_finite():
+def test_dropout_all_modalities_still_finite(monkeypatch):
     rng = np.random.default_rng(1)
     samples = [_random_sample(rng, uid=f"u{i}") for i in range(5)]
-    everything = np.ones((len(samples), len(MODALITIES)), dtype=bool)
+    md = ModalityDropoutConfig(p=1.0 - 1e-12, seed=0)  # drops every cell of these draws
     for kind in ("SL", "EL"):
         model = build_fusion(kind, MODALITIES, seed=0)
-        x = encode_inputs(model, samples, everything)
+        (x,), (drop,) = _md_epochs(monkeypatch, model, samples, md, 1)
+        assert drop.all()
+        np.testing.assert_array_equal(x, encode_inputs_loop(kind, MODALITIES, samples, drop))
         assert np.all((x == SCORE_SENTINEL) if kind == "SL" else (x == EMBEDDING_SENTINEL))
         out = model.graph.forward(x)
         assert np.all(np.isfinite(out)) and np.all((out > 0) & (out < 1))

@@ -8,7 +8,6 @@ from ddsd.nn import (
     Dense,
     GRU,
     LayerNorm,
-    Mask,
     ModelGraph,
     weighted_bce,
 )
@@ -110,7 +109,7 @@ def test_gru_sequence_gradcheck():
 
 def test_masked_gru_gradcheck():
     rng = np.random.default_rng(25)
-    graph = ModelGraph([Mask(), GRU(3, 6, rng=rng), LayerNorm(6), Dense(6, 1, "sigmoid", rng=rng)])
+    graph = ModelGraph([GRU(3, 6, rng=rng), LayerNorm(6), Dense(6, 1, "sigmoid", rng=rng)])
     x = rng.normal(size=(5, 8, 3))
     lengths = np.array([8, 3, 5, 1, 7])
     labels = rng.integers(0, 2, size=5).astype(float)

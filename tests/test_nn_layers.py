@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddsd.errors import DataError, NumericError, ShapeError
+from ddsd.errors import NumericError, ShapeError
 from ddsd.nn import (
     Branches,
     Context,
@@ -9,11 +9,12 @@ from ddsd.nn import (
     Dropout,
     GRU,
     LayerNorm,
-    Mask,
     ModelGraph,
     pad_batch,
     sigmoid,
 )
+
+from oracles import gru_masked_loop
 
 
 def test_identity_dense_passthrough():
@@ -106,7 +107,7 @@ def test_gru_matches_scalar_loop_oracle():
 def test_gru_masking_ignores_padding():
     rng = np.random.default_rng(11)
     gru = GRU(2, 5, rng=rng)
-    graph = ModelGraph([Mask(), gru])
+    graph = ModelGraph([gru])
     seq = rng.normal(size=(3, 2))
     padded = np.zeros((1, 8, 2))
     padded[0, :3] = seq
@@ -119,7 +120,7 @@ def test_batch_masking_matches_unpadded_per_sample():
     rng = np.random.default_rng(13)
     gru = GRU(3, 6, rng=rng)
     head = Dense(6, 1, "sigmoid", rng=rng)
-    graph = ModelGraph([Mask(), gru, head])
+    graph = ModelGraph([gru, head])
     seqs = [rng.normal(size=(t, 3)) for t in (4, 9, 2, 7)]
     x, lengths = pad_batch(seqs)
     batched = graph.forward(x, lengths=lengths)
@@ -128,15 +129,49 @@ def test_batch_masking_matches_unpadded_per_sample():
         np.testing.assert_allclose(batched[i], single[0], atol=1e-10)
 
 
-def test_lengths_required_iff_mask_layer():
-    gru = GRU(2, 3)
-    with_mask = ModelGraph([Mask(), gru])
-    without = ModelGraph([GRU(2, 3)])
-    x = np.zeros((1, 4, 2))
-    with pytest.raises(DataError):
-        with_mask.forward(x)
-    with pytest.raises(DataError):
-        without.forward(x, lengths=np.array([4]))
+@pytest.mark.parametrize(
+    "nin,nh,nb,nt",
+    [(5, 128, 7, 13), (40, 256, 5, 9), (3, 7, 6, 10), (2, 1, 3, 1)],
+    ids=["5x128", "40x256", "3x7", "2x1-T1"],
+)
+def test_gru_matches_masked_oracle(nin, nh, nb, nt):
+    # running every step and reading the state at lengths[i] is bit-identical to freezing it
+    rng = np.random.default_rng(nin * 1000 + nh)
+    gru = GRU(nin, nh, rng=rng)
+    x = rng.normal(size=(nb, nt, nin))  # padding holds noise, not zeros
+    lengths = np.concatenate([[0, 1, nt], rng.integers(0, nt + 1, size=nb - 3)])
+    dy = rng.normal(size=(nb, nh))
+    out = gru.forward(x, Context(lengths=lengths))
+    dx = gru.backward(dy)
+    want_out, want_dx, want_grads = gru_masked_loop(gru.params, x, lengths, dy)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(dx, want_dx)
+    for key, grad in gru.grads.items():
+        np.testing.assert_array_equal(grad, want_grads[key], err_msg=key)
+
+
+def test_gru_without_lengths_equals_full_lengths():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(4, 6, 2))
+    dy = rng.normal(size=(4, 3))
+    results = []
+    for lengths in (None, np.full(4, 6)):
+        gru = GRU(2, 3, rng=np.random.default_rng(5))
+        out = gru.forward(x, Context(lengths=lengths))
+        results.append((out, gru.backward(dy), gru.grads))
+    (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
+    np.testing.assert_array_equal(out_a, out_b)
+    np.testing.assert_array_equal(dx_a, dx_b)
+    for key in grads_a:
+        np.testing.assert_array_equal(grads_a[key], grads_b[key])
+
+
+def test_gru_lengths_outside_range_raise_shape_error():
+    graph = ModelGraph([GRU(2, 3)])
+    x = np.zeros((2, 4, 2))
+    for lengths in ([4, -1], [5, 4], [4], [4.0, 4.0]):
+        with pytest.raises(ShapeError, match="layer 0 \\(gru\\)"):
+            graph.forward(x, lengths=np.array(lengths))
 
 
 def test_shape_mismatch_names_layer():

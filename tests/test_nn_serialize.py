@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from ddsd.errors import DataError
-from ddsd.nn import Branches, Dense, Dropout, GRU, LayerNorm, Mask, ModelGraph
+from ddsd.nn import Branches, Dense, Dropout, GRU, LayerNorm, ModelGraph
 
 
 def _demo_graph():
     rng = np.random.default_rng(42)
     return ModelGraph(
         [
-            Mask(),
             GRU(5, 8, rng=rng),
             LayerNorm(8),
             Dropout(0.2),
@@ -81,6 +80,6 @@ def test_truncated_model_rejected(tmp_path):
 def test_parameter_count():
     # GRU(5->128) + layer norm + dense head: 3*(5*128 + 128*128 + 128) + 256 + 129
     rng = np.random.default_rng(2)
-    graph = ModelGraph([Mask(), GRU(5, 128, rng=rng), LayerNorm(128), Dropout(0.2), Dense(128, 1, "sigmoid", rng=rng)])
+    graph = ModelGraph([GRU(5, 128, rng=rng), LayerNorm(128), Dropout(0.2), Dense(128, 1, "sigmoid", rng=rng)])
     assert graph.num_params() == 3 * (5 * 128 + 128 * 128 + 128) + 2 * 128 + 129
     assert graph.num_params() == 51841

@@ -115,12 +115,12 @@ def build_component(modality, seed=0):
     return ComponentModel(modality=modality, graph=ModelGraph(layers, rng_seed=seed))
 
 
-def text_trigram_bag(text, dim=TEXT_BAG_DIM):
+def text_trigram_bag(text):
     """Hashed character-trigram counts; crc32 keeps the hash stable."""
     s = f" {text.strip().lower()} "
-    bag = np.zeros(dim)
+    bag = np.zeros(TEXT_BAG_DIM)
     for i in range(len(s) - 2):
-        idx = zlib.crc32(s[i : i + 3].encode("utf-8")) % dim
+        idx = zlib.crc32(s[i : i + 3].encode("utf-8")) % TEXT_BAG_DIM
         bag[idx] += 1.0
     return bag
 
@@ -161,24 +161,16 @@ def _prepare_inputs(model, utts, base_dir, fit_standardizer=False):
     return _model_inputs(model, feats), labels
 
 
-def train_component(
-    model,
-    utts,
-    base_dir,
-    config=None,
-    train_split="train-comp",
-    val_split="val-comp",
-    log=None,
-):
-    """Fit on the component train split; returns (history, best_epoch).
+def train_component(model, utts, base_dir, config=None, log=None):
+    """Fit on train-comp, validate on val-comp; returns (history, best_epoch).
 
     Class weights default to n_neg/n_pos from the training manifest; the
     checkpoint with the best validation EER is kept.
     """
-    train_utts = by_split(utts, train_split)
-    val_utts = by_split(utts, val_split)
+    train_utts = by_split(utts, "train-comp")
+    val_utts = by_split(utts, "val-comp")
     if not train_utts or not val_utts:
-        raise DataError(f"empty split: {train_split if not train_utts else val_split}")
+        raise DataError(f"empty split: {'val-comp' if train_utts else 'train-comp'}")
 
     config = config or TrainConfig()
     train_x, train_y = _prepare_inputs(model, train_utts, base_dir, fit_standardizer=True)

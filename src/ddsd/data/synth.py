@@ -57,7 +57,6 @@ class SynthConfig:
     separability: dict = field(default_factory=lambda: dict(DEFAULT_SEPARABILITY))
     rho: float = 0.35
     seed: int = 0
-    sample_rate: int = SAMPLE_RATE
 
     def validate(self):
         for m, d in self.separability.items():
@@ -79,11 +78,11 @@ class SynthConfig:
         }
 
 
-def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base, sr=SAMPLE_RATE):
+def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base):
     """One utterance of harmonic 'speech' segments separated by pauses."""
-    hop = int(round(0.01 * sr))
+    hop = int(round(0.01 * SAMPLE_RATE))
     duration = rng.uniform(0.6, 0.9) + 0.5 * quality
-    n = int(duration * sr)
+    n = int(duration * SAMPLE_RATE)
 
     pause_frac = float(np.clip(0.30 - 0.11 * trait_prosody, 0.05, 0.62))
     wobble = float(np.clip(0.035 * np.exp(-0.5 * trait_prosody), 0.004, 0.20))
@@ -97,9 +96,9 @@ def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base, sr=SAMPLE_
     mean_pause = mean_voiced * pause_frac / (1.0 - pause_frac)
 
     x = np.zeros(n)
-    pos = int(rng.uniform(0.0, 0.05) * sr)
+    pos = int(rng.uniform(0.0, 0.05) * SAMPLE_RATE)
     while pos < n - hop:
-        seg_len = int(rng.uniform(0.15, 0.40) * sr)
+        seg_len = int(rng.uniform(0.15, 0.40) * SAMPLE_RATE)
         seg_len = min(seg_len, n - pos)
         if seg_len > 4 * hop:
             n_fr = seg_len // hop + 1
@@ -109,7 +108,7 @@ def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base, sr=SAMPLE_
                 slow[k] = 0.97 * slow[k - 1] + wobble * rng.normal()
             lf = np.log(f0_base) + slow + fast_jitter * rng.normal(size=n_fr)
             f0 = np.repeat(np.exp(lf), hop)[:seg_len]
-            phase = np.cumsum(2.0 * np.pi * f0 / sr)
+            phase = np.cumsum(2.0 * np.pi * f0 / SAMPLE_RATE)
 
             seg = np.zeros(seg_len)
             for k in range(1, 6):
@@ -120,13 +119,13 @@ def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base, sr=SAMPLE_
 
             gain = 1.0 + shimmer_amt * rng.normal(size=n_fr)
             seg *= np.repeat(np.clip(gain, 0.4, 1.6), hop)[:seg_len]
-            edge = min(int(0.015 * sr), seg_len // 2)
+            edge = min(int(0.015 * SAMPLE_RATE), seg_len // 2)
             ramp = np.hanning(2 * edge)
             seg[:edge] *= ramp[:edge]
             seg[-edge:] *= ramp[edge:]
             x[pos : pos + seg_len] += seg
         pos += seg_len
-        pos += int((0.03 + rng.exponential(mean_pause)) * sr)
+        pos += int((0.03 + rng.exponential(mean_pause)) * SAMPLE_RATE)
 
     x += noise_level * rng.normal(size=n)
     peak = np.max(np.abs(x))
@@ -202,12 +201,9 @@ def generate_corpus(config, out_dir):
                 q_audio, q_text, q_asr = rng.uniform(0.25, 1.0, size=3)
                 spk = int(rng.integers(len(speakers)))
 
-                audio = synth_audio(
-                    rng, traits["prosody"], traits["acoustic"], q_audio, f0s[spk],
-                    sr=config.sample_rate,
-                )
+                audio = synth_audio(rng, traits["prosody"], traits["acoustic"], q_audio, f0s[spk])
                 wav_rel = os.path.join("audio", f"{uid}.wav")
-                write_wav(os.path.join(out_dir, wav_rel), audio, config.sample_rate)
+                write_wav(os.path.join(out_dir, wav_rel), audio, SAMPLE_RATE)
 
                 asr_rel = os.path.join("features", f"{uid}.asr.rec")
                 write_records(

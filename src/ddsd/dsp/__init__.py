@@ -3,13 +3,12 @@
 from .audio import AudioBuffer, frame_centers, frame_count, read_wav, resample_to, write_wav
 from .melbank import extract_filterbank, mel_filterbank_matrix
 from .pitch import extract_pitch_voicing
-from .prosody import ProsodyTrack, assemble_prosody_track
+from .prosody import assemble_prosody_track
 from .vad import extract_vad, frame_speech_probability
 from .voicequality import extract_jitter_shimmer
 
 __all__ = [
     "AudioBuffer",
-    "ProsodyTrack",
     "assemble_prosody_track",
     "extract_filterbank",
     "extract_jitter_shimmer",

@@ -1,31 +1,17 @@
 """Assembly of the five-column prosody track on the shared 100 Hz grid."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pitch import extract_pitch_voicing
 from .vad import extract_vad
 from .voicequality import extract_jitter_shimmer
 
-FRAME_RATE = 100.0
-COLUMNS = ("log_pitch", "voicing", "jitter", "shimmer", "vad")
-
-
-@dataclass
-class ProsodyTrack:
-    frames: np.ndarray  # (T, 5): log-pitch (ln Hz, 0 unvoiced), voicing, jitter, shimmer, vad
-    frame_rate: float = FRAME_RATE
-
-    def __len__(self):
-        return self.frames.shape[0]
-
 
 def assemble_prosody_track(buf):
+    """(T, 5) frames: log-pitch (ln Hz, 0 unvoiced), voicing, jitter, shimmer, vad."""
     pitch_hz, voicing = extract_pitch_voicing(buf)
     jitter, shimmer = extract_jitter_shimmer(buf, pitch_hz)
     vad = extract_vad(buf)
 
     log_pitch = np.where(pitch_hz > 0, np.log(np.where(pitch_hz > 0, pitch_hz, 1.0)), 0.0)
-    frames = np.stack([log_pitch, voicing, jitter, shimmer, vad], axis=1)
-    return ProsodyTrack(frames=frames)
+    return np.stack([log_pitch, voicing, jitter, shimmer, vad], axis=1)

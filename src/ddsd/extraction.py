@@ -14,11 +14,11 @@ from .errors import DataError
 
 def extract_utterance(buf):
     """(prosody (T,5), filterbank (T,40)) for one audio buffer."""
-    track = assemble_prosody_track(buf)
+    prosody = assemble_prosody_track(buf)
     fbank = extract_filterbank(buf)
-    if fbank.shape[0] != track.frames.shape[0]:
+    if fbank.shape[0] != prosody.shape[0]:
         raise DataError("prosody and filterbank tracks disagree on frame count")
-    return track.frames, fbank
+    return prosody, fbank
 
 
 def extract_features(manifest_path, out_manifest=None):

@@ -132,7 +132,7 @@ def build_fusion(kind, modalities, seed=0):
         return FusionModel(kind=kind, modalities=modalities)
     rng = np.random.default_rng(seed)
     widths = _widths(kind, modalities)
-    branches = Branches(widths, [[Dense(w, 128, "tanh", rng=rng)] for w in widths])
+    branches = Branches(widths, 128, "tanh", rng=rng)
     trunk = [
         Dense(128 * len(widths), 128, "relu", rng=rng),
         LayerNorm(128),
@@ -193,22 +193,22 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
         config.class_weights = balanced_class_weights(labels)
 
     train_x = encode_inputs(model, train_samples)
-    make_epoch_data = None
+    epoch_inputs = None
     if md is not None:
         md.validate()
         md_rng = np.random.default_rng(md.seed)
         column_modality = np.repeat(np.arange(len(model.modalities)), _widths(model.kind, model.modalities))
         sentinel = SCORE_SENTINEL if model.kind == "SL" else EMBEDDING_SENTINEL
 
-        def make_epoch_data(epoch, rng):
+        def epoch_inputs():
             drop = md_rng.random((len(train_samples), len(model.modalities))) < md.p
             x = train_x.copy()
             x[drop[:, column_modality]] = sentinel
-            return x, labels
+            return x
 
     return fit(
         model.graph, train_x, labels, val_x, val_y, config, compute_eer,
-        log=log, make_epoch_data=make_epoch_data,
+        log=log, epoch_inputs=epoch_inputs,
     )
 
 

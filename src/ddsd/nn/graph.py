@@ -1,12 +1,15 @@
 """Sequential model graph and its single-file serialization container.
 
-File layout: 8-byte magic, u32 version, u32 header length, JSON header
-(layer descriptors, parameter names/shapes, metadata), then raw
-little-endian float64 parameter blobs in header order. Round-trips are
-bit-exact.
+File layout (version 2): 8-byte magic, u32 version, u32 header length, a
+JSON header (rng seed, metadata, layer descriptors, extras names/shapes),
+then raw little-endian float64 blobs: every parameter in ``named_params``
+order, then the extras sorted by name. The layer descriptors fix every
+parameter's name and shape, so the header and the file length must agree
+to the byte. Round-trips are bit-exact.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,17 +18,17 @@ from ..errors import DataError, NumericError, ShapeError
 from .layers import Branches, layer_from_descriptor, Context
 
 MAGIC = b"DDSDMDL1"
-VERSION = 1
+VERSION = 2
 
 
-def _walk(layers, prefix=""):
-    """Yield (name_prefix, layer) for all layers including branch chains."""
+def _walk(layers):
+    """Yield (name_prefix, layer) for every layer, each Branches followed by its dense layers."""
     for i, layer in enumerate(layers):
-        name = f"{prefix}L{i}.{layer.descriptor()['kind']}"
+        name = f"L{i}.{layer.descriptor()['kind']}"
         yield name, layer
         if isinstance(layer, Branches):
-            for bi, chain in enumerate(layer.chains):
-                yield from _walk(chain, prefix=f"{name}.b{bi}.")
+            for bi, dense in enumerate(layer.dense):
+                yield f"{name}.b{bi}.L0.dense", dense
 
 
 class ModelGraph:
@@ -91,23 +94,22 @@ class ModelGraph:
     # -- serialization ------------------------------------------------------
 
     def save(self, path):
-        names = self.named_params()
+        extras = sorted(self.extras.items())
         header = {
             "rng_seed": self.rng_seed,
             "meta": self.meta,
             "layers": [l.descriptor() for l in self.layers],
-            "params": [[name, list(layer.params[key].shape)] for name, layer, key in names],
-            "extras": [[name, list(arr.shape)] for name, arr in sorted(self.extras.items())],
+            "extras": [[name, list(arr.shape)] for name, arr in extras],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<II", VERSION, len(blob)))
             f.write(blob)
-            for _, layer, key in names:
+            for _, layer, key in self.named_params():
                 f.write(np.ascontiguousarray(layer.params[key], dtype="<f8").tobytes())
-            for name, _ in header["extras"]:
-                f.write(np.ascontiguousarray(self.extras[name], dtype="<f8").tobytes())
+            for _, arr in extras:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path):
@@ -133,25 +135,22 @@ class ModelGraph:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
         layers = [layer_from_descriptor(d) for d in header["layers"]]
         graph = cls(layers, rng_seed=header["rng_seed"], meta=header["meta"])
+        extras = [(name, tuple(shape)) for name, shape in header["extras"]]
+        if len(dict(extras)) != len(extras) or any(d < 0 for _, shape in extras for d in shape):
+            raise DataError(f"{path}: extras names repeat or shapes are negative")
+        sizes = [math.prod(shape) for _, shape in extras]
 
-        offset = 16 + hlen
-        by_name = {name: (layer, key) for name, layer, key in graph.named_params()}
-        for name, shape in header["params"]:
-            size = int(np.prod(shape)) if shape else 1
-            end = offset + 8 * size
-            if end > len(raw):
-                raise DataError(f"{path}: truncated at byte {len(raw)} reading {name}")
-            arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
-            layer, key = by_name[name]
-            if layer.params[key].shape != arr.shape:
-                raise DataError(f"{path}: shape mismatch for {name}")
-            layer.params[key][...] = arr
-            offset = end
-        for name, shape in header["extras"]:
-            size = int(np.prod(shape)) if shape else 1
-            end = offset + 8 * size
-            if end > len(raw):
-                raise DataError(f"{path}: truncated at byte {len(raw)} reading {name}")
-            graph.extras[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-            offset = end
+        end = 16 + hlen + 8 * (graph.num_params() + sum(sizes))
+        if len(raw) != end:
+            what = "truncated" if len(raw) < end else "trailing bytes"
+            raise DataError(f"{path}: {what}: {len(raw)} bytes, but the header implies {end}")
+        values = np.frombuffer(raw, dtype="<f8", offset=16 + hlen)
+        pos = 0
+        for _, layer, key in graph.named_params():
+            param = layer.params[key]
+            param[...] = values[pos : pos + param.size].reshape(param.shape)
+            pos += param.size
+        for (name, shape), size in zip(extras, sizes):
+            graph.extras[name] = values[pos : pos + size].reshape(shape).copy()
+            pos += size
         return graph

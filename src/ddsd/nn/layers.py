@@ -298,61 +298,35 @@ class Dropout(Layer):
 
 
 class Branches(Layer):
-    """Parallel sub-chains over a width-partitioned input, concatenated out.
+    """One Dense(width, nout, activation) per column block of the input, concatenated out.
 
-    The input (B, sum(widths)) is split columnwise; chain i maps its slice
-    through its own layer stack. Used by the fusion networks where each
-    modality gets a private branch before the shared trunk.
+    The input (B, sum(widths)) is split columnwise and block i goes through
+    its own dense layer, so the output is (B, len(widths) * nout). The fusion
+    networks give each modality such a private branch before the shared trunk.
     """
 
-    def __init__(self, widths, chains):
+    def __init__(self, widths, nout, activation, rng=None):
         super().__init__()
-        if len(widths) != len(chains):
-            raise ValueError("one chain per input width required")
-        for width, chain in zip(widths, chains):
-            nin = getattr(chain[0], "nin", width) if chain else width
-            if nin != width:
-                raise ValueError(f"branch of width {width} starts with a layer of input width {nin}")
         self.widths = list(widths)
-        self.chains = [list(c) for c in chains]
+        self.nout = nout
+        self.activation = activation
+        self.dense = [Dense(width, nout, activation, rng=rng) for width in self.widths]
 
     def forward(self, x, ctx):
-        total = sum(self.widths)
-        self._check_width(x, total)
-        outs = []
-        self._out_widths = []
-        start = 0
-        for width, chain in zip(self.widths, self.chains):
-            h = x[:, start : start + width]
-            for layer in chain:
-                h = layer.forward(h, ctx)
-            outs.append(h)
-            self._out_widths.append(h.shape[1])
-            start += width
-        return np.concatenate(outs, axis=1)
+        self._check_width(x, sum(self.widths))
+        starts = np.cumsum([0] + self.widths)
+        return np.concatenate(
+            [layer.forward(x[:, a:b], ctx) for layer, a, b in zip(self.dense, starts, starts[1:])], axis=1
+        )
 
     def backward(self, dy):
-        dxs = []
-        start = 0
-        for width, chain in zip(self._out_widths, self.chains):
-            d = dy[:, start : start + width]
-            for layer in reversed(chain):
-                d = layer.backward(d)
-            dxs.append(d)
-            start += width
-        return np.concatenate(dxs, axis=1)
-
-    def zero_grads(self):
-        for chain in self.chains:
-            for layer in chain:
-                layer.zero_grads()
+        n = self.nout
+        return np.concatenate(
+            [layer.backward(dy[:, i * n : (i + 1) * n]) for i, layer in enumerate(self.dense)], axis=1
+        )
 
     def descriptor(self):
-        return {
-            "kind": "branches",
-            "widths": self.widths,
-            "chains": [[layer.descriptor() for layer in chain] for chain in self.chains],
-        }
+        return {"kind": "branches", "widths": self.widths, "nout": self.nout, "activation": self.activation}
 
 
 def layer_from_descriptor(desc, rng=None):
@@ -366,8 +340,5 @@ def layer_from_descriptor(desc, rng=None):
     if kind == "dropout":
         return Dropout(desc["rate"])
     if kind == "branches":
-        chains = [
-            [layer_from_descriptor(d, rng=rng) for d in chain] for chain in desc["chains"]
-        ]
-        return Branches(desc["widths"], chains)
+        return Branches(desc["widths"], desc["nout"], desc["activation"], rng=rng)
     raise ValueError(f"unknown layer kind {kind!r}")

@@ -12,9 +12,7 @@ from .optim import Adam
 @dataclass
 class TrainConfig:
     epochs: int = 50
-    learning_rate: float = 0.001
     batch_size: int = 150
-    grad_clip_norm: float = 1.0
     class_weights: tuple = (1.0, 1.0)
     seed: int = 0
 
@@ -23,10 +21,6 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive")
         if any(w <= 0 for w in self.class_weights):
             raise ValueError("class weights must be positive")
         return self
@@ -98,7 +92,7 @@ def fit(
     config,
     val_metric,
     log=None,
-    make_epoch_data=None,
+    epoch_inputs=None,
 ):
     """Mini-batch training with per-epoch validation and best-epoch restore.
 
@@ -107,9 +101,9 @@ def fit(
     to a scalar where lower is better; the parameters achieving the best
     validation value are restored before returning.
 
-    make_epoch_data, when given, is called as (epoch, rng) -> (inputs, labels)
-    at the start of every epoch (used for modality dropout, which redraws
-    dropped inputs each epoch).
+    epoch_inputs, when given, is called with no arguments at the start of
+    every epoch and returns that epoch's inputs (used for modality dropout,
+    which redraws dropped inputs each epoch).
     """
     config.validate()
     labels = np.asarray(labels, dtype=np.float64)
@@ -119,15 +113,14 @@ def fit(
         raise DataError("empty training set")
 
     rng = np.random.default_rng(config.seed)
-    adam = Adam(lr=config.learning_rate, clip_norm=config.grad_clip_norm)
+    adam = Adam()
     named = graph.named_params()
 
     history = []
     best = (np.inf, -1, None)
     for epoch in range(config.epochs):
-        if make_epoch_data is not None:
-            inputs, labels = make_epoch_data(epoch, rng)
-            labels = np.asarray(labels, dtype=np.float64)
+        if epoch_inputs is not None:
+            inputs = epoch_inputs()
         order = rng.permutation(len(labels))
         total_loss = 0.0
         n_batches = 0

@@ -1,12 +1,14 @@
 """Corrupt model and record files: a decoder either loads them or raises DataError.
 
 Deterministic byte-level fuzzing: truncation at every byte of a saved EL
-fusion model's header, a bit flip in every header byte of an EL fusion model
-and of an ASR component model, and corrupt record files. Any other exception
-type escaping a loader is a bug.
+fusion model's header and at every 8-byte boundary after it, trailing
+bytes, every single-bit flip in the header of an EL fusion model and of an
+ASR component model, and corrupt record files. Any other exception type
+escaping a loader is a bug.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -45,8 +47,33 @@ def test_model_truncated_in_header_raises_data_error(el_model_bytes, tmp_path):
         assert _load_or_none(FusionModel.load, path, el_model_bytes[:k]) is None, k
 
 
+def test_model_cut_inside_its_blobs_raises_data_error(el_model_bytes, tmp_path):
+    path = tmp_path / "cut.ddm"
+    path.write_bytes(el_model_bytes)
+    # shortening the one file in place, from the end, keeps the sweep fast
+    for k in range(len(el_model_bytes) - 8, _header_end(el_model_bytes) - 1, -8):
+        os.truncate(path, k)
+        with pytest.raises(DataError, match="truncated"):
+            FusionModel.load(path)
+
+
+def test_model_with_trailing_bytes_raises_data_error(el_model_bytes, tmp_path):
+    path = tmp_path / "long.ddm"
+    for tail in (b"\x00", bytes(8), bytes(16 * 8)):
+        path.write_bytes(el_model_bytes + tail)
+        with pytest.raises(DataError, match="trailing bytes"):
+            FusionModel.load(path)
+
+
+def test_model_of_container_version_1_raises_data_error(el_model_bytes, tmp_path):
+    path = tmp_path / "v1.ddm"
+    path.write_bytes(el_model_bytes[:8] + struct.pack("<I", 1) + el_model_bytes[12:])
+    with pytest.raises(DataError, match="unsupported container version 1"):
+        FusionModel.load(path)
+
+
 def _flip_header_bits(raw, path, load, check):
-    """Flip every bit of the binary prefix and one bit of each JSON header byte.
+    """Flip each bit of every header byte, binary prefix and JSON alike, one at a time.
 
     check runs on every model that still loads; returns how many loaded.
     """
@@ -54,8 +81,7 @@ def _flip_header_bits(raw, path, load, check):
     loaded = 0
     for k in range(end):
         data = bytearray(raw)
-        # every bit of the binary prefix; one bit per JSON byte, cycling through all eight
-        for bit in range(8) if k < 16 else (k % 8,):
+        for bit in range(8):
             data[k] ^= 1 << bit
             model = _load_or_none(load, path, data)
             data[k] ^= 1 << bit
@@ -120,18 +146,39 @@ def test_model_metadata_fields_are_checked(tmp_path):
             ComponentModel.load(path)
 
 
+def _with_header(raw, header):
+    """The model file raw with its JSON header replaced by header."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[_header_end(raw):]
+
+
 def test_model_file_with_a_mask_layer_raises_data_error(tmp_path):
     # the layout of older prosody files: a parameterless "mask" marker before the GRU
     path = tmp_path / "old.ddm"
     build_component("prosody").save(path)
     raw = path.read_bytes()
-    end = _header_end(raw)
-    header = json.loads(raw[16:end])
+    header = json.loads(raw[16 : _header_end(raw)])
     header["layers"].insert(0, {"kind": "mask"})
-    header["params"] = [[f"L{int(name[1]) + 1}{name[2:]}", shape] for name, shape in header["params"]]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[end:])
-    with pytest.raises(DataError, match="mask"):
+    path.write_bytes(_with_header(raw, header))
+    with pytest.raises(DataError, match="unknown layer kind 'mask'"):
+        ComponentModel.load(path)
+
+
+@pytest.mark.parametrize("extras", [
+    [["standardizer_mean", [8]], ["standardizer_mean", [8]]],
+    [["standardizer_mean", [-1]], ["standardizer_std", [17]]],
+])
+def test_model_extras_must_be_unique_and_non_negative(tmp_path, extras):
+    # each header implies the file's true length, so only the names or shapes are wrong
+    path = tmp_path / "asr.ddm"
+    model = build_component("asr")
+    model.standardizer = Standardizer(mean=np.zeros(8), std=np.ones(8))
+    model.save(path)
+    raw = path.read_bytes()
+    header = json.loads(raw[16 : _header_end(raw)])
+    header["extras"] = extras
+    path.write_bytes(_with_header(raw, header))
+    with pytest.raises(DataError, match="extras names repeat or shapes are negative"):
         ComponentModel.load(path)
 
 

@@ -16,22 +16,19 @@ def _vowel(duration=1.0, f0=140.0, amp=0.4):
 
 
 def test_one_second_is_98_frames():
-    track = assemble_prosody_track(AudioBuffer(sine(150, duration=1.0), SR))
-    assert len(track) == 98
-    assert track.frames.shape == (98, 5)
-    assert track.frame_rate == 100.0
+    frames = assemble_prosody_track(AudioBuffer(sine(150, duration=1.0), SR))
+    assert frames.shape == (98, 5)
 
 
 def test_framing_arithmetic():
     # T = floor((n - window) / hop) + 1 with the 25 ms grid window
     n = SR + 7 * 160 + 3
-    track = assemble_prosody_track(AudioBuffer(sine(200, duration=n / SR), SR))
-    assert len(track) == (n - 400) // 160 + 1
+    frames = assemble_prosody_track(AudioBuffer(sine(200, duration=n / SR), SR))
+    assert len(frames) == (n - 400) // 160 + 1
 
 
 def test_silence_column_means():
-    track = assemble_prosody_track(AudioBuffer(np.zeros(SR), SR))
-    means = track.frames.mean(axis=0)
+    means = assemble_prosody_track(AudioBuffer(np.zeros(SR), SR)).mean(axis=0)
     assert means[0] == 0.0  # pitch
     assert means[1] < 0.1  # voicing
     assert means[2] == 0.0  # jitter
@@ -40,9 +37,7 @@ def test_silence_column_means():
 
 
 def test_vowel_ranges_and_voiced_pitch():
-    track = assemble_prosody_track(AudioBuffer(_vowel(), SR))
-    f = track.frames
-    log_pitch, voicing, jitter, shimmer, vad = f.T
+    log_pitch, voicing, jitter, shimmer, vad = assemble_prosody_track(AudioBuffer(_vowel(), SR)).T
     voiced = log_pitch > 0
     assert voiced.mean() > 0.5
     assert np.all(np.exp(log_pitch[voiced]) >= 60.0)
@@ -54,15 +49,15 @@ def test_vowel_ranges_and_voiced_pitch():
 
 def test_all_tracks_share_frame_grid():
     buf = AudioBuffer(_vowel(duration=1.37), SR)
-    track = assemble_prosody_track(buf)
+    frames = assemble_prosody_track(buf)
     fbank = extract_filterbank(buf)
-    assert len(track) == fbank.shape[0]
+    assert frames.shape[0] == fbank.shape[0]
 
 
 def test_determinism_bit_identical():
     x = _vowel(duration=0.8)
-    a = assemble_prosody_track(AudioBuffer(x, SR)).frames
-    b = assemble_prosody_track(AudioBuffer(x.copy(), SR)).frames
+    a = assemble_prosody_track(AudioBuffer(x, SR))
+    b = assemble_prosody_track(AudioBuffer(x.copy(), SR))
     np.testing.assert_array_equal(a, b)
 
 

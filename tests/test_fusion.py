@@ -246,10 +246,9 @@ def _capture_fit(monkeypatch, epochs_to_draw=0):
     seen = {}
 
     def fake_fit(graph, inputs, labels, val_inputs, val_labels, config, val_metric, log=None,
-                 make_epoch_data=None):
+                 epoch_inputs=None):
         seen.update(inputs=inputs, val_inputs=val_inputs)
-        rng = np.random.default_rng(0)
-        seen["epochs"] = [make_epoch_data(e, rng)[0] for e in range(epochs_to_draw)]
+        seen["epochs"] = [epoch_inputs() for _ in range(epochs_to_draw)]
         return [], -1
 
     monkeypatch.setattr(fusion, "fit", fake_fit)

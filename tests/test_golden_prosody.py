@@ -27,7 +27,7 @@ def _audio(seed, trait_prosody, trait_acoustic, quality, f0_base):
 
 
 def _frames(x):
-    return assemble_prosody_track(AudioBuffer(x, SAMPLE_RATE)).frames
+    return assemble_prosody_track(AudioBuffer(x, SAMPLE_RATE))
 
 
 def test_prosody_frames_match_golden():

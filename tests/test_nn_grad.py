@@ -118,10 +118,7 @@ def test_masked_gru_gradcheck():
 
 def test_branches_gradcheck():
     rng = np.random.default_rng(26)
-    branches = Branches(
-        [2, 3],
-        [[Dense(2, 4, "tanh", rng=rng)], [Dense(3, 4, "tanh", rng=rng)]],
-    )
+    branches = Branches([2, 3], 4, "tanh", rng=rng)
     graph = ModelGraph([branches, Dense(8, 4, "relu", rng=rng), LayerNorm(4), Dense(4, 1, "sigmoid", rng=rng)])
     x = rng.normal(size=(6, 5))
     labels = rng.integers(0, 2, size=6).astype(float)

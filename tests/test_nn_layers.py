@@ -3,7 +3,6 @@ import pytest
 
 from ddsd.errors import NumericError, ShapeError
 from ddsd.nn import (
-    Branches,
     Context,
     Dense,
     Dropout,
@@ -53,11 +52,6 @@ def test_gru_step_saturated_update_gate_keeps_state():
     x = rng.normal(size=(1, 1, nin)) * 0.01
     out = ModelGraph([gru]).forward(x)
     np.testing.assert_allclose(out, np.zeros((1, nh)), atol=1e-6)
-
-
-def test_branch_must_start_with_its_width():
-    with pytest.raises(ValueError, match="width 16"):
-        Branches([16], [[Dense(12, 4)]])
 
 
 def _scalar_gru_oracle(x_seq, w_in, u_zr, u_c, b, nh):

@@ -116,11 +116,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0).validate()
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1).validate()
-    with pytest.raises(ValueError):
         TrainConfig(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(grad_clip_norm=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(class_weights=(0.0, 1.0)).validate()
 

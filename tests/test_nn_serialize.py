@@ -49,7 +49,7 @@ def test_branches_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     graph = ModelGraph(
         [
-            Branches([1, 1], [[Dense(1, 4, "tanh", rng=rng)], [Dense(1, 4, "tanh", rng=rng)]]),
+            Branches([1, 1], 4, "tanh", rng=rng),
             Dense(8, 1, "sigmoid", rng=rng),
         ]
     )

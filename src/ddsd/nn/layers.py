@@ -3,7 +3,8 @@
 Every layer owns its parameters and gradient buffers as plain float64
 numpy arrays. ``forward`` caches whatever ``backward`` needs; ``backward``
 consumes the most recent forward pass, accumulates parameter gradients and
-returns the gradient with respect to its input.
+returns the gradient with respect to its input. The GRU's backward
+overwrites its cache and frees it, so it runs at most once per forward.
 """
 
 import numpy as np
@@ -11,13 +12,12 @@ import numpy as np
 from ..errors import ShapeError
 
 
-def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def glorot_uniform(rng, nin, nout):
@@ -132,6 +132,13 @@ class GRU(Layer):
     when absent). The recurrence is causal, so padding after a sample's end
     never reaches its state at step lengths[i]: every step runs unmasked and
     the output is read from the stored states.
+
+    Forward keeps two buffers: the states ``h_all`` (T + 1, B, H) and one
+    gate buffer (B, T, 3H). The gate buffer holds x @ w_in + b, and step t
+    turns its slice [:, t] into the gates z | r | c in place. Backward
+    overwrites each step's gates with the gradients of their
+    pre-activations, reads the w_in and b gradients from the same buffer,
+    then deletes both buffers; a second backward raises AttributeError.
     """
 
     def __init__(self, nin, nhidden, rng=None):
@@ -162,69 +169,77 @@ class GRU(Layer):
         if np.any((lengths < 0) | (lengths > nt)):
             raise ShapeError(f"GRU lengths must lie in [0, {nt}]")
 
-        proj = (x.reshape(nb * nt, self.nin) @ p["w_in"] + p["b"]).reshape(nb, nt, 3 * nh)
-        h = np.zeros((nb, nh))
+        proj = x.reshape(nb * nt, self.nin) @ p["w_in"]
+        proj += p["b"]
+        proj = proj.reshape(nb, nt, 3 * nh)
         h_all = np.empty((nt + 1, nb, nh))
-        h_all[0] = h
-        zs = np.empty((nt, nb, nh))
-        rs = np.empty((nt, nb, nh))
-        cs = np.empty((nt, nb, nh))
+        h_all[0] = 0.0
+        tmp = np.empty((nb, nh))
 
         for t in range(nt):
-            g = h @ p["u_zr"]
-            z = sigmoid(proj[:, t, :nh] + g[:, :nh])
-            r = sigmoid(proj[:, t, nh : 2 * nh] + g[:, nh:])
-            c = np.tanh(proj[:, t, 2 * nh :] + (r * h) @ p["u_c"])
-            h = (1.0 - z) * h + z * c
-            h_all[t + 1] = h
-            zs[t] = z
-            rs[t] = r
-            cs[t] = c
+            # step t turns its pre-activations in proj[:, t] into the gates z | r | c
+            h, gates = h_all[t], proj[:, t]
+            zr, c = gates[:, : 2 * nh], gates[:, 2 * nh :]
+            zr += h @ p["u_zr"]
+            sigmoid(zr, out=zr)
+            z, r = zr[:, :nh], zr[:, nh:]
+            c += np.multiply(r, h, out=tmp) @ p["u_c"]
+            np.tanh(c, out=c)
+            h_new = h_all[t + 1]
+            np.subtract(1.0, z, out=h_new)
+            h_new *= h
+            h_new += np.multiply(z, c, out=tmp)
 
         self._x = x
         self._lengths = lengths
         self._h_all = h_all
-        self._z = zs
-        self._r = rs
-        self._c = cs
+        self._gates = proj
         return h_all[lengths, np.arange(nb)]
 
     def backward(self, dy):
-        x, last = self._x, self._lengths - 1
+        x, last, h_all, gates_all = self._x, self._lengths - 1, self._h_all, self._gates
+        # the gate buffer is overwritten below, so a second backward must fail
+        del self._x, self._lengths, self._h_all, self._gates
         nb, nt, _ = x.shape
         nh = self.nhidden
         p, g = self.params, self.grads
 
         dh = np.zeros_like(dy)
-        dproj = np.empty((nb, nt, 3 * nh))
+        dz, tmp = np.empty((nb, nh)), np.empty((nb, nh))
         for t in range(nt - 1, -1, -1):
             # the output of sample i is its state after step lengths[i] - 1
             ends = last == t
             dh[ends] += dy[ends]
-            h_prev = self._h_all[t]
-            z, r, c = self._z[t], self._r[t], self._c[t]
+            h_prev, gates = h_all[t], gates_all[:, t]
+            z, r, c = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh :]
 
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dh = dh * (1.0 - z)
+            # each gate is overwritten by the gradient of its pre-activation: daz | dar | dac
+            # dz = dh * (c - h_prev), dc = dh * z, dh *= 1 - z, daz = dz * z * (1 - z)
+            np.multiply(dh, np.subtract(c, h_prev, out=dz), out=dz)
+            np.multiply(dh, z, out=tmp)
+            dz *= z
+            np.subtract(1.0, z, out=z)
+            dh *= z
+            z *= dz
 
-            dac = dc * (1.0 - c**2)
-            drh = dac @ p["u_c"].T
-            g["u_c"] += (r * h_prev).T @ dac
-            dr = drh * h_prev
-            dh += drh * r
+            # dac = dc * (1 - c**2), dr = drh * h_prev, dh += drh * r, dar = dr * r * (1 - r)
+            np.square(c, out=c)
+            np.subtract(1.0, c, out=c)
+            c *= tmp
+            drh = c @ p["u_c"].T
+            g["u_c"] += np.multiply(r, h_prev, out=tmp).T @ c
+            np.multiply(drh, h_prev, out=tmp)
+            tmp *= r
+            drh *= r
+            dh += drh
+            np.subtract(1.0, r, out=r)
+            r *= tmp
 
-            daz = dz * z * (1.0 - z)
-            dar = dr * r * (1.0 - r)
-            dg = np.concatenate([daz, dar], axis=1)
+            dg = gates[:, : 2 * nh]
             g["u_zr"] += h_prev.T @ dg
             dh += dg @ p["u_zr"].T
 
-            dproj[:, t, :nh] = daz
-            dproj[:, t, nh : 2 * nh] = dar
-            dproj[:, t, 2 * nh :] = dac
-
-        flat = dproj.reshape(nb * nt, 3 * nh)
+        flat = gates_all.reshape(nb * nt, 3 * nh)
         g["w_in"] += x.reshape(nb * nt, self.nin).T @ flat
         g["b"] += flat.sum(axis=0)
         return (flat @ p["w_in"].T).reshape(nb, nt, self.nin)

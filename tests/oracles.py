@@ -11,7 +11,6 @@ import numpy as np
 from ddsd.dsp.pitch import CANDIDATE_FLOOR, F0_MAX, F0_MIN, MAX_CANDIDATES, OCTAVE_COST
 from ddsd.fusion import EMBEDDING_SENTINEL, SCORE_CLAMP, SCORE_SENTINEL
 from ddsd.modalities import EMBEDDING_DIMS
-from ddsd.nn import sigmoid
 
 
 def brute_force_det(scores, labels):
@@ -378,6 +377,16 @@ def encode_inputs_loop(kind, modalities, samples, dropped=None):
     return x
 
 
+def sigmoid_two_branch(x):
+    """The logistic function by boolean masks: 1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def gru_masked_loop(params, x, lengths, dy):
     """GRU forward and backward that freeze each sample's state after its length.
 
@@ -393,8 +402,8 @@ def gru_masked_loop(params, x, lengths, dy):
     h_all, zs, rs, cs = [h], [], [], []
     for t in range(nt):
         g = h @ params["u_zr"]
-        z = sigmoid(proj[:, t, :nh] + g[:, :nh])
-        r = sigmoid(proj[:, t, nh : 2 * nh] + g[:, nh:])
+        z = sigmoid_two_branch(proj[:, t, :nh] + g[:, :nh])
+        r = sigmoid_two_branch(proj[:, t, nh : 2 * nh] + g[:, nh:])
         c = np.tanh(proj[:, t, 2 * nh :] + (r * h) @ params["u_c"])
         h_new = (1.0 - z) * h + z * c
         m = mask[:, t : t + 1]

@@ -156,3 +156,13 @@ def test_backward_without_forward_fails():
     graph = ModelGraph([Dense(2, 1, "sigmoid")])
     with pytest.raises(AttributeError):
         graph.backward(np.ones((1, 1)))
+
+
+def test_second_gru_backward_after_one_forward_fails():
+    # backward overwrites the gates it reads, so it consumes the forward pass
+    rng = np.random.default_rng(29)
+    graph = ModelGraph([GRU(2, 3, rng=rng)])
+    graph.forward(rng.normal(size=(2, 4, 2)))
+    graph.backward(np.ones((2, 3)))
+    with pytest.raises(AttributeError):
+        graph.backward(np.ones((2, 3)))

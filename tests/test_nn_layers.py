@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from ddsd.nn import (
     sigmoid,
 )
 
-from oracles import gru_masked_loop
+from oracles import gru_masked_loop, sigmoid_two_branch
 
 
 def test_identity_dense_passthrough():
@@ -125,8 +127,8 @@ def test_batch_masking_matches_unpadded_per_sample():
 
 @pytest.mark.parametrize(
     "nin,nh,nb,nt",
-    [(5, 128, 7, 13), (40, 256, 5, 9), (3, 7, 6, 10), (2, 1, 3, 1)],
-    ids=["5x128", "40x256", "3x7", "2x1-T1"],
+    [(5, 128, 7, 13), (40, 256, 5, 9), (40, 256, 33, 21), (3, 7, 6, 10), (2, 1, 3, 1)],
+    ids=["5x128", "40x256", "40x256-B33", "3x7", "2x1-T1"],
 )
 def test_gru_matches_masked_oracle(nin, nh, nb, nt):
     # running every step and reading the state at lengths[i] is bit-identical to freezing it
@@ -142,6 +144,25 @@ def test_gru_matches_masked_oracle(nin, nh, nb, nt):
     np.testing.assert_array_equal(dx, want_dx)
     for key, grad in gru.grads.items():
         np.testing.assert_array_equal(grad, want_grads[key], err_msg=key)
+
+
+def test_gru_forward_backward_peak_memory_is_gate_buffer_and_states():
+    # one (B, T, 3H) buffer holds the pre-activations, then the gates, then their gradients
+    nin, nh, nb, nt = 40, 256, 64, 50
+    rng = np.random.default_rng(41)
+    gru = GRU(nin, nh, rng=rng)
+    x = rng.normal(size=(nb, nt, nin))
+    dy = rng.normal(size=(nb, nh))
+    ctx = Context(lengths=rng.integers(1, nt + 1, size=nb))
+    tracemalloc.start()
+    try:
+        gru.forward(x, ctx)
+        gru.backward(dy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gates_and_states = 8 * (nb * nt * 3 * nh + (nt + 1) * nb * nh)
+    assert peak <= 1.2 * gates_and_states, f"peak {peak / gates_and_states:.2f}x the gate buffer and h_all"
 
 
 def test_gru_without_lengths_equals_full_lengths():
@@ -212,3 +233,24 @@ def test_sigmoid_extremes_stable():
     y = sigmoid(x)
     assert np.all(np.isfinite(y))
     np.testing.assert_allclose(y, [0.0, 0.5, 1.0], atol=1e-12)
+
+
+def test_sigmoid_bit_identical_to_two_branch_formula():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310])
+    magnitudes = np.geomspace(1e-300, 1e3, 20001)
+    sweep = np.concatenate([np.linspace(-40.0, 40.0, 160001), magnitudes, -magnitudes, special])
+    for x in (sweep, sweep.reshape(2, -1)[:, ::3], special, np.array(0.3), np.array(-2.5), np.array([-1.1])):
+        got = sigmoid(x)
+        assert np.shape(got) == x.shape
+        np.testing.assert_array_equal(got, sigmoid_two_branch(x))
+
+    # in place on a strided view, as the GRU gates use it
+    buf = np.random.default_rng(43).normal(scale=12.0, size=(5, 6, 9))
+    before = buf.copy()
+    view = buf[:, 2, 3:]
+    want = sigmoid_two_branch(view.copy())
+    assert sigmoid(view, out=view) is view
+    np.testing.assert_array_equal(buf[:, 2, 3:], want)
+    buf[:, 2, 3:] = before[:, 2, 3:]
+    np.testing.assert_array_equal(buf, before)

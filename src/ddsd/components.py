@@ -112,7 +112,7 @@ def build_component(modality, seed=0):
         raise DataError(f"no component model for modality {modality!r}")
     rng = np.random.default_rng(seed)
     layers = _BODIES[modality](rng) + [Dense(EMBEDDING_DIMS[modality], 1, "sigmoid", rng=rng)]
-    return ComponentModel(modality=modality, graph=ModelGraph(layers, rng_seed=seed))
+    return ComponentModel(modality=modality, graph=ModelGraph(layers))
 
 
 def text_trigram_bag(text):

@@ -98,7 +98,7 @@ class FusionModel:
     graph: ModelGraph = None  # None for AVG
 
     def save(self, path):
-        graph = self.graph if self.graph is not None else ModelGraph([], rng_seed=0)
+        graph = self.graph if self.graph is not None else ModelGraph([])
         graph.meta = {"type": "fusion", "kind": self.kind, "modalities": list(self.modalities)}
         graph.save(path)
 
@@ -138,7 +138,7 @@ def build_fusion(kind, modalities, seed=0):
         LayerNorm(128),
         Dense(128, 1, "sigmoid", rng=rng),
     ]
-    return FusionModel(kind=kind, modalities=modalities, graph=ModelGraph([branches] + trunk, rng_seed=seed))
+    return FusionModel(kind=kind, modalities=modalities, graph=ModelGraph([branches] + trunk))
 
 
 def input_width(model):

@@ -1,11 +1,13 @@
 """Sequential model graph and its single-file serialization container.
 
 File layout (version 2): 8-byte magic, u32 version, u32 header length, a
-JSON header (rng seed, metadata, layer descriptors, extras names/shapes),
+JSON header (metadata, layer descriptors, extras names/shapes),
 then raw little-endian float64 blobs: every parameter in ``named_params``
 order, then the extras sorted by name. The layer descriptors fix every
 parameter's name and shape, so the header and the file length must agree
-to the byte. Round-trips are bit-exact.
+to the byte. Round-trips are bit-exact. The loader allocates every layer
+with zero weights and overwrites them from the file; it ignores the
+``rng_seed`` key that older headers carry.
 """
 
 import json
@@ -34,9 +36,8 @@ def _walk(layers):
 class ModelGraph:
     """Ordered layer stack with shared forward context and recorded backward."""
 
-    def __init__(self, layers, rng_seed=0, meta=None):
+    def __init__(self, layers, meta=None):
         self.layers = list(layers)
-        self.rng_seed = rng_seed
         self.meta = dict(meta or {})
         self.extras = {}
 
@@ -67,6 +68,11 @@ class ModelGraph:
             d = layer.backward(d)
         return d
 
+    def drop_caches(self):
+        """Empty every layer's cache slot, Branches' dense layers included, after a pass with no backward."""
+        for _, layer in _walk(self.layers):
+            vars(layer).pop("_cache", None)
+
     # -- parameter access ---------------------------------------------------
 
     def named_params(self):
@@ -96,7 +102,6 @@ class ModelGraph:
     def save(self, path):
         extras = sorted(self.extras.items())
         header = {
-            "rng_seed": self.rng_seed,
             "meta": self.meta,
             "layers": [l.descriptor() for l in self.layers],
             "extras": [[name, list(arr.shape)] for name, arr in extras],
@@ -133,8 +138,8 @@ class ModelGraph:
     @classmethod
     def _from_header(cls, path, raw, hlen):
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-        layers = [layer_from_descriptor(d) for d in header["layers"]]
-        graph = cls(layers, rng_seed=header["rng_seed"], meta=header["meta"])
+        layers = [layer_from_descriptor(d, None) for d in header["layers"]]
+        graph = cls(layers, meta=header["meta"])
         extras = [(name, tuple(shape)) for name, shape in header["extras"]]
         if len(dict(extras)) != len(extras) or any(d < 0 for _, shape in extras for d in shape):
             raise DataError(f"{path}: extras names repeat or shapes are negative")

@@ -1,10 +1,15 @@
 """Layers with explicit forward/backward passes.
 
 Every layer owns its parameters and gradient buffers as plain float64
-numpy arrays. ``forward`` caches whatever ``backward`` needs; ``backward``
-consumes the most recent forward pass, accumulates parameter gradients and
-returns the gradient with respect to its input. The GRU's backward
-overwrites its cache and frees it, so it runs at most once per forward.
+numpy arrays, and one cache slot, ``_cache``. ``forward`` fills the slot with
+whatever ``backward`` needs; ``backward`` takes it, accumulates parameter
+gradients and returns the gradient with respect to its input. So each
+backward consumes one forward pass, and a second backward raises
+AttributeError. ``ModelGraph.drop_caches`` empties every slot, so a pass that
+never runs backward keeps nothing alive.
+
+``Dense``, ``GRU`` and ``Branches`` draw Glorot weights from a required rng;
+``rng=None`` allocates zeros, for a model-file loader to overwrite.
 """
 
 import numpy as np
@@ -21,6 +26,8 @@ def sigmoid(x, out=None):
 
 
 def glorot_uniform(rng, nin, nout):
+    if rng is None:
+        return np.zeros((nin, nout))
     limit = np.sqrt(6.0 / (nin + nout))
     return rng.uniform(-limit, limit, size=(nin, nout))
 
@@ -41,8 +48,14 @@ class Layer:
         self.params = {}
         self.grads = {}
 
+    def _take_cache(self):
+        """What the last forward cached, removed from the slot; AttributeError when it is empty."""
+        cache = self._cache
+        del self._cache
+        return cache
+
     def _init_grads(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.grads = {k: np.zeros(v.shape) for k, v in self.params.items()}
 
     def zero_grads(self):
         for g in self.grads.values():
@@ -71,14 +84,13 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 class Dense(Layer):
     """Affine map with an elementwise activation: y = act(x @ W + b)."""
 
-    def __init__(self, nin, nout, activation="linear", rng=None):
+    def __init__(self, nin, nout, activation="linear", *, rng):
         super().__init__()
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.nin = nin
         self.nout = nout
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
         self.params = {
             "w": glorot_uniform(rng, nin, nout),
             "b": np.zeros(nout),
@@ -87,32 +99,29 @@ class Dense(Layer):
 
     def forward(self, x, ctx):
         self._check_width(x, self.nin)
-        self._x = x
         a = x @ self.params["w"] + self.params["b"]
         if self.activation == "linear":
-            y = a
-            self._cache = None
+            y, saved = a, None
         elif self.activation == "relu":
-            y = np.maximum(a, 0.0)
-            self._cache = a > 0.0
+            y, saved = np.maximum(a, 0.0), a > 0.0
         elif self.activation == "tanh":
-            y = np.tanh(a)
-            self._cache = y
+            y = saved = np.tanh(a)
         else:  # sigmoid
-            y = sigmoid(a)
-            self._cache = y
+            y = saved = sigmoid(a)
+        self._cache = (x, saved)
         return y
 
     def backward(self, dy):
+        x, saved = self._take_cache()
         if self.activation == "linear":
             da = dy
         elif self.activation == "relu":
-            da = dy * self._cache
+            da = dy * saved
         elif self.activation == "tanh":
-            da = dy * (1.0 - self._cache**2)
+            da = dy * (1.0 - saved**2)
         else:
-            da = dy * self._cache * (1.0 - self._cache)
-        self.grads["w"] += self._x.T @ da
+            da = dy * saved * (1.0 - saved)
+        self.grads["w"] += x.T @ da
         self.grads["b"] += da.sum(axis=0)
         return da @ self.params["w"].T
 
@@ -138,14 +147,13 @@ class GRU(Layer):
     turns its slice [:, t] into the gates z | r | c in place. Backward
     overwrites each step's gates with the gradients of their
     pre-activations, reads the w_in and b gradients from the same buffer,
-    then deletes both buffers; a second backward raises AttributeError.
+    then deletes both buffers.
     """
 
-    def __init__(self, nin, nhidden, rng=None):
+    def __init__(self, nin, nhidden, *, rng):
         super().__init__()
         self.nin = nin
         self.nhidden = nhidden
-        rng = rng or np.random.default_rng(0)
         nh = nhidden
         w = np.concatenate([glorot_uniform(rng, nin, nh) for _ in range(3)], axis=1)
         u_zr = np.concatenate([glorot_uniform(rng, nh, nh) for _ in range(2)], axis=1)
@@ -190,16 +198,12 @@ class GRU(Layer):
             h_new *= h
             h_new += np.multiply(z, c, out=tmp)
 
-        self._x = x
-        self._lengths = lengths
-        self._h_all = h_all
-        self._gates = proj
+        self._cache = (x, lengths, h_all, proj)
         return h_all[lengths, np.arange(nb)]
 
     def backward(self, dy):
-        x, last, h_all, gates_all = self._x, self._lengths - 1, self._h_all, self._gates
-        # the gate buffer is overwritten below, so a second backward must fail
-        del self._x, self._lengths, self._h_all, self._gates
+        x, lengths, h_all, gates_all = self._take_cache()
+        last = lengths - 1
         nb, nt, _ = x.shape
         nh = self.nhidden
         p, g = self.params, self.grads
@@ -264,12 +268,13 @@ class LayerNorm(Layer):
         mu = x.mean(axis=1, keepdims=True)
         xc = x - mu
         var = (xc**2).mean(axis=1, keepdims=True)
-        self._inv = 1.0 / np.sqrt(var + self.EPS)
-        self._xhat = xc * self._inv
-        return self._xhat * self.params["gamma"] + self.params["beta"]
+        inv = 1.0 / np.sqrt(var + self.EPS)
+        xhat = xc * inv
+        self._cache = (xhat, inv)
+        return xhat * self.params["gamma"] + self.params["beta"]
 
     def backward(self, dy):
-        xhat, inv = self._xhat, self._inv
+        xhat, inv = self._take_cache()
         self.grads["gamma"] += (dy * xhat).sum(axis=0)
         self.grads["beta"] += dy.sum(axis=0)
         dxhat = dy * self.params["gamma"]
@@ -295,18 +300,19 @@ class Dropout(Layer):
 
     def forward(self, x, ctx):
         if not ctx.train or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         if ctx.rng is None:
             raise ValueError("dropout in train mode requires a forward rng")
         keep = 1.0 - self.rate
-        self._mask = (ctx.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._cache = (ctx.rng.random(x.shape) < keep) / keep
+        return x * self._cache
 
     def backward(self, dy):
-        if self._mask is None:
+        mask = self._take_cache()
+        if mask is None:
             return dy
-        return dy * self._mask
+        return dy * mask
 
     def descriptor(self):
         return {"kind": "dropout", "rate": self.rate}
@@ -318,9 +324,10 @@ class Branches(Layer):
     The input (B, sum(widths)) is split columnwise and block i goes through
     its own dense layer, so the output is (B, len(widths) * nout). The fusion
     networks give each modality such a private branch before the shared trunk.
+    Its dense layers hold the caches.
     """
 
-    def __init__(self, widths, nout, activation, rng=None):
+    def __init__(self, widths, nout, activation, *, rng):
         super().__init__()
         self.widths = list(widths)
         self.nout = nout
@@ -344,7 +351,8 @@ class Branches(Layer):
         return {"kind": "branches", "widths": self.widths, "nout": self.nout, "activation": self.activation}
 
 
-def layer_from_descriptor(desc, rng=None):
+def layer_from_descriptor(desc, rng):
+    """The layer a descriptor names; rng draws its weights, None leaves them zero."""
     kind = desc["kind"]
     if kind == "dense":
         return Dense(desc["nin"], desc["nout"], desc["activation"], rng=rng)

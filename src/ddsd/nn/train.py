@@ -68,6 +68,7 @@ def predict(graph, inputs, tap=-1):
     """Eval-mode pass in batches; returns (scores (N,), outputs of layers[tap] (N, D)).
 
     inputs is an (N, D) matrix or a list of (T_i, D) sequences, as for fit.
+    No backward follows, so each batch's layer caches are dropped at once.
     """
     n = len(inputs)
     scores = np.empty(n)
@@ -76,6 +77,7 @@ def predict(graph, inputs, tap=-1):
         idx = np.arange(start, min(start + PREDICT_BATCH, n))
         x, lengths = _batch(inputs, idx)
         out, acts = graph.forward_all(x, lengths=lengths)
+        graph.drop_caches()
         if start == 0:
             taps = np.empty((n, acts[tap].shape[1]))
         scores[idx] = out.ravel()

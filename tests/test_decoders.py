@@ -103,13 +103,15 @@ def test_component_bit_flips_in_header_keep_the_embedding_width(tmp_path):
     model = build_component("asr", seed=0)
     model.standardizer = Standardizer(mean=np.linspace(-1, 1, 8), std=np.linspace(1, 2, 8))
     model.save(path)
+    # a file written before the rng seed left the header: flips of its ignored value must load
+    raw = _with_rng_seed(path.read_bytes())
     feats = [np.random.default_rng(0).normal(size=8) for _ in range(3)]
 
     def check(loaded):
         scores, embeddings = infer_component_batch(loaded, feats)
         assert scores.shape == (3,) and embeddings.shape == (3, 16)
 
-    assert _flip_header_bits(path.read_bytes(), tmp_path / "flip.ddm", ComponentModel.load, check) > 0
+    assert _flip_header_bits(raw, tmp_path / "flip.ddm", ComponentModel.load, check) > 0
 
 
 def test_model_file_shorter_than_its_prefix(tmp_path):
@@ -139,7 +141,7 @@ def test_model_metadata_fields_are_checked(tmp_path):
     prosody = build_component("prosody")
     prosody.modality = "asr"
     # asr weights whose layer 0 is the sigmoid head
-    headless = ComponentModel("asr", ModelGraph([Dense(16, 1, "sigmoid")]))
+    headless = ComponentModel("asr", ModelGraph([Dense(16, 1, "sigmoid", rng=np.random.default_rng(0))]))
     for model in (prosody, headless):
         model.save(path)
         with pytest.raises(DataError, match=f"{path}: layer 0 outputs width"):
@@ -150,6 +152,21 @@ def _with_header(raw, header):
     """The model file raw with its JSON header replaced by header."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[_header_end(raw):]
+
+
+def _with_rng_seed(raw):
+    """raw as older versions wrote it, with an rng_seed key in the header."""
+    header = json.loads(raw[16 : _header_end(raw)])
+    return _with_header(raw, {**header, "rng_seed": 0})
+
+
+def test_model_file_with_an_rng_seed_key_loads(tmp_path):
+    path = tmp_path / "old.ddm"
+    model = build_fusion("EL", ("asr", "prosody"), seed=3)
+    model.save(path)
+    path.write_bytes(_with_rng_seed(path.read_bytes()))
+    x = np.random.default_rng(4).normal(size=(5, input_width(model)))
+    np.testing.assert_array_equal(FusionModel.load(path).graph.forward(x), model.graph.forward(x))
 
 
 def test_model_file_with_a_mask_layer_raises_data_error(tmp_path):

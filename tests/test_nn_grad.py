@@ -5,7 +5,9 @@ import pytest
 
 from ddsd.nn import (
     Branches,
+    Context,
     Dense,
+    Dropout,
     GRU,
     LayerNorm,
     ModelGraph,
@@ -56,7 +58,7 @@ def check_gradients(graph, x, labels, lengths=None, n_coords=120, seed=0, weight
 
 def test_dense_closed_form_least_squares():
     # single weight, linear activation, squared loss: dL/dw = 2 x (wx - y)
-    layer = Dense(1, 1, "linear")
+    layer = Dense(1, 1, "linear", rng=np.random.default_rng(0))
     layer.params["w"][...] = 0.7
     layer.params["b"][...] = 0.0
     x = np.array([[1.7]])
@@ -153,7 +155,7 @@ def test_gru_input_gradient_matches_fd():
 
 
 def test_backward_without_forward_fails():
-    graph = ModelGraph([Dense(2, 1, "sigmoid")])
+    graph = ModelGraph([Dense(2, 1, "sigmoid", rng=np.random.default_rng(0))])
     with pytest.raises(AttributeError):
         graph.backward(np.ones((1, 1)))
 
@@ -166,3 +168,27 @@ def test_second_gru_backward_after_one_forward_fails():
     graph.backward(np.ones((2, 3)))
     with pytest.raises(AttributeError):
         graph.backward(np.ones((2, 3)))
+
+
+# (make layer, input shape, train mode) for every layer kind
+ONE_PASS_LAYERS = {
+    **{f"dense-{act}": (lambda act=act: Dense(3, 2, act, rng=np.random.default_rng(0)), (4, 3), True)
+       for act in ("linear", "relu", "tanh", "sigmoid")},
+    "layer_norm": (lambda: LayerNorm(3), (4, 3), True),
+    "dropout-train": (lambda: Dropout(0.5), (4, 3), True),
+    "dropout-eval": (lambda: Dropout(0.5), (4, 3), False),
+    "branches": (lambda: Branches([1, 2], 2, "tanh", rng=np.random.default_rng(0)), (4, 3), True),
+    "gru": (lambda: GRU(3, 2, rng=np.random.default_rng(0)), (4, 5, 3), True),
+}
+
+
+@pytest.mark.parametrize("kind", list(ONE_PASS_LAYERS))
+def test_second_backward_after_one_forward_fails(kind):
+    # backward takes the one cache slot that forward filled
+    make, shape, train = ONE_PASS_LAYERS[kind]
+    layer = make()
+    rng = np.random.default_rng(59)
+    y = layer.forward(rng.normal(size=shape), Context(train=train, rng=rng))
+    layer.backward(np.ones_like(y))
+    with pytest.raises(AttributeError):
+        layer.backward(np.ones_like(y))

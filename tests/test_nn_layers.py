@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ddsd.components import build_component
 from ddsd.errors import NumericError, ShapeError
+from ddsd.fusion import build_fusion, input_width
+from ddsd.modalities import MODALITIES
 from ddsd.nn import (
     Context,
     Dense,
@@ -12,14 +15,16 @@ from ddsd.nn import (
     LayerNorm,
     ModelGraph,
     pad_batch,
+    predict,
     sigmoid,
 )
+from ddsd.nn.graph import _walk
 
 from oracles import gru_masked_loop, sigmoid_two_branch
 
 
 def test_identity_dense_passthrough():
-    layer = Dense(4, 4, "linear")
+    layer = Dense(4, 4, "linear", rng=np.random.default_rng(0))
     layer.params["w"][...] = np.eye(4)
     layer.params["b"][...] = 0.0
     graph = ModelGraph([layer])
@@ -28,7 +33,7 @@ def test_identity_dense_passthrough():
 
 
 def test_zero_dense_sigmoid_is_half():
-    layer = Dense(7, 1, "sigmoid")
+    layer = Dense(7, 1, "sigmoid", rng=np.random.default_rng(0))
     layer.params["w"][...] = 0.0
     graph = ModelGraph([layer])
     x = np.random.default_rng(1).normal(size=(5, 7))
@@ -36,7 +41,7 @@ def test_zero_dense_sigmoid_is_half():
 
 
 def test_gru_step_zero_params_zero_state():
-    gru = GRU(3, 4)
+    gru = GRU(3, 4, rng=np.random.default_rng(0))
     for v in gru.params.values():
         v[...] = 0.0
     x = np.random.default_rng(2).normal(size=(1, 1, 3))
@@ -165,6 +170,49 @@ def test_gru_forward_backward_peak_memory_is_gate_buffer_and_states():
     assert peak <= 1.2 * gates_and_states, f"peak {peak / gates_and_states:.2f}x the gate buffer and h_all"
 
 
+def _model_and_inputs(name, rng):
+    """A component or fusion graph, its predict inputs and the layer whose output predict taps."""
+    if name in ("prosody", "acoustic"):
+        graph = build_component(name, seed=5).graph
+        nin = graph.layers[0].nin
+        return graph, [rng.normal(size=(t, nin)) for t in rng.integers(1, 30, size=40)], 0
+    model = build_fusion(name, MODALITIES, seed=5)
+    return model.graph, rng.normal(size=(40, input_width(model))), -1
+
+
+@pytest.mark.parametrize("name", ["prosody", "acoustic", "SL", "EL"])
+def test_predict_leaves_no_layer_holding_a_cache(name):
+    rng = np.random.default_rng(47)
+    graph, inputs, tap = _model_and_inputs(name, rng)
+    scores, taps = predict(graph, inputs, tap=tap)
+    for layer_name, layer in _walk(graph.layers):
+        assert [k for k in vars(layer) if k.startswith("_")] == [], layer_name
+
+    # the batch as one forward pass: predict's outputs are bit-identical to it
+    x, lengths = pad_batch(inputs) if isinstance(inputs, list) else (inputs, None)
+    out, acts = graph.forward_all(x, lengths=lengths)
+    np.testing.assert_array_equal(scores, out.ravel())
+    np.testing.assert_array_equal(taps, acts[tap])
+
+
+def test_gru_predict_returns_memory_to_its_outputs():
+    # after predict, only the outputs stay allocated: no gate buffer, no h_all
+    nin, nh, nb, nt = 40, 256, 64, 50
+    rng = np.random.default_rng(53)
+    graph = build_component("acoustic", seed=2).graph
+    seqs = [rng.normal(size=(t, nin)) for t in np.concatenate([[nt], rng.integers(1, nt + 1, size=nb - 1)])]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        scores, taps = predict(graph, seqs, tap=0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gates_and_states = 8 * (nb * nt * 3 * nh + (nt + 1) * nb * nh)
+    assert current - start <= scores.nbytes + taps.nbytes + 4096, f"{current - start} bytes kept"
+    assert peak <= 1.2 * gates_and_states, f"peak {peak / gates_and_states:.2f}x the gate buffer and h_all"
+
+
 def test_gru_without_lengths_equals_full_lengths():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(4, 6, 2))
@@ -182,7 +230,7 @@ def test_gru_without_lengths_equals_full_lengths():
 
 
 def test_gru_lengths_outside_range_raise_shape_error():
-    graph = ModelGraph([GRU(2, 3)])
+    graph = ModelGraph([GRU(2, 3, rng=np.random.default_rng(0))])
     x = np.zeros((2, 4, 2))
     for lengths in ([4, -1], [5, 4], [4], [4.0, 4.0]):
         with pytest.raises(ShapeError, match="layer 0 \\(gru\\)"):
@@ -190,13 +238,13 @@ def test_gru_lengths_outside_range_raise_shape_error():
 
 
 def test_shape_mismatch_names_layer():
-    graph = ModelGraph([Dense(4, 2)])
+    graph = ModelGraph([Dense(4, 2, rng=np.random.default_rng(0))])
     with pytest.raises(ShapeError, match="layer 0 \\(dense\\)"):
         graph.forward(np.zeros((3, 5)))
 
 
 def test_nonfinite_input_rejected():
-    graph = ModelGraph([Dense(2, 2)])
+    graph = ModelGraph([Dense(2, 2, rng=np.random.default_rng(0))])
     x = np.array([[1.0, np.nan]])
     with pytest.raises(NumericError):
         graph.forward(x)

@@ -61,7 +61,7 @@ def test_bce_nonnegative_and_clamped():
 
 
 def _graph_with_weight(value):
-    layer = Dense(1, 1, "linear")
+    layer = Dense(1, 1, "linear", rng=np.random.default_rng(0))
     layer.params["w"][...] = value
     layer.params["b"][...] = 0.0
     return ModelGraph([layer]), layer

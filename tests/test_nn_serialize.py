@@ -14,7 +14,6 @@ def _demo_graph():
             Dropout(0.2),
             Dense(8, 1, "sigmoid", rng=rng),
         ],
-        rng_seed=42,
         meta={"type": "demo", "note": "round-trip"},
     )
 

@@ -3,8 +3,11 @@
 Kernels here are the loops that dominate corpus-scale feature extraction:
 normalized cross-correlation for pitch, per-cycle peak tracking for
 jitter/shimmer, two-state HMM smoothing for VAD, and the pitch Viterbi.
-Recurrent-network training is intentionally not here: it is bound by BLAS
-matmuls.
+Recurrent-network training is not here: the GRU lives in ``nn.layers``. It is
+not bound by BLAS alone. At the paper's shapes (batch 150, 70-138 frames, 2
+BLAS threads on a 2-core x86-64 host) its matmuls took 43-53% of a forward
+plus backward before packing and 45-59% after; the rest is elementwise gate
+arithmetic and per-step numpy overhead.
 
 The NCCF is one batched FFT over all frames. The other three kernels are
 sequential recursions (each step reads the previous step's result), so they

@@ -18,9 +18,15 @@ from ..errors import ShapeError
 
 
 def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp never overflows."""
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp never overflows.
+
+    The numerator is max(e, x >= 0) with e = exp(-|x|) in [0, 1]: 1 where x >= 0
+    and e elsewhere, NaN for NaN, as np.where would pick it but at a fraction of
+    its cost. For a 0-d x, e is a numpy scalar, so nothing here writes into e
+    with ``out=``.
+    """
     e = np.exp(-np.abs(x))
-    num = np.where(x >= 0, 1.0, e)
+    num = np.maximum(e, x >= 0)
     e += 1.0
     return np.divide(num, e, out=out)
 
@@ -138,16 +144,36 @@ class GRU(Layer):
     """Single GRU layer over a padded batch; returns each sample's last valid state.
 
     Input (B, T, nin) plus per-sample valid lengths via the context (all T
-    when absent). The recurrence is causal, so padding after a sample's end
-    never reaches its state at step lengths[i]: every step runs unmasked and
-    the output is read from the stored states.
+    when absent); output (B, H), each row the state after its last valid step
+    (zero for length 0).
 
-    Forward keeps two buffers: the states ``h_all`` (T + 1, B, H) and one
-    gate buffer (B, T, 3H). The gate buffer holds x @ w_in + b, and step t
-    turns its slice [:, t] into the gates z | r | c in place. Backward
-    overwrites each step's gates with the gradients of their
-    pre-activations, reads the w_in and b gradients from the same buffer,
-    then deletes both buffers.
+    Packed layout. Forward stable-sorts the rows by length, longest first, and
+    step t runs only the first m_t sorted rows: the rows still active at t.
+    The real steps are packed time-major, so step t owns the rows
+    off[t] .. off[t] + m_t - 1 of two buffers: the gates (sum m_t, 3H), which
+    hold x @ w_in + b and then z | r | c, and the states (sum m_t, H), where
+    row off[t] + j is the state entering step t of sorted row j. Each row's
+    output is captured after its own last step, into its unsorted place.
+    Backward walks the same blocks from the last step back, overwriting each
+    step's gates with the gradients of their pre-activations; the u_zr, w_in
+    and b gradients are then one product each over the whole buffer.
+
+    Two-row rule. numpy sends a one-row product to gemv, whose result differs
+    in the last bit from the same row of a taller product. So m_t is never
+    exactly 1: when only the longest row is left, the second runs on through
+    its padding, and its output was already captured. A one-row batch runs all
+    T steps, so its input projection keeps T rows as well.
+
+    Bits. With OpenBLAS 0.3.31 at the paper's shapes (inner dimensions 5, 40,
+    128 and 256), a row of a product with at least two rows equals that row
+    of any taller product, in any row order. So the outputs are bit-identical
+    to stepping the whole padded batch through every step;
+    ``test_gru_matches_masked_oracle`` and
+    ``test_gru_output_does_not_depend_on_row_order`` pin this. It is a
+    property of the BLAS kernels, not a guarantee: an inner dimension of 512
+    changes the last bit below 16 rows. The gradients are not bit-identical:
+    the same terms are summed over fewer rows in another order, which moves
+    them in the last bits.
     """
 
     def __init__(self, nin, nhidden, *, rng):
@@ -177,44 +203,78 @@ class GRU(Layer):
         if np.any((lengths < 0) | (lengths > nt)):
             raise ShapeError(f"GRU lengths must lie in [0, {nt}]")
 
-        proj = x.reshape(nb * nt, self.nin) @ p["w_in"]
-        proj += p["b"]
-        proj = proj.reshape(nb, nt, 3 * nh)
-        h_all = np.empty((nt + 1, nb, nh))
-        h_all[0] = 0.0
-        tmp = np.empty((nb, nh))
+        # active[t] sorted rows are longer than t; step t runs m[t] of them, never exactly one
+        order = np.argsort(-lengths, kind="stable")
+        ls = lengths[order]
+        nsteps = nt if nb == 1 else int(ls.max(initial=0))
+        active = np.count_nonzero(ls > np.arange(nsteps + 1)[:, None], axis=1)
+        m = np.maximum(active[:-1], min(nb, 2))
+        off = np.concatenate([[0], np.cumsum(m)])
+        # packed row k is step cols[k] of input row rows[k]
+        cols = np.repeat(np.arange(nsteps), m)
+        rows = order[np.arange(off[-1]) - off[cols]]
 
-        for t in range(nt):
-            # step t turns its pre-activations in proj[:, t] into the gates z | r | c
-            h, gates = h_all[t], proj[:, t]
+        gates_all = x[rows, cols] @ p["w_in"]
+        gates_all += p["b"]
+        states = np.zeros((off[-1], nh))
+        out = np.zeros((nb, nh))
+        scratch = np.empty((2, nb, nh))
+
+        for t in range(nsteps):
+            # step t turns its pre-activations into the gates z | r | c in place
+            h, gates = states[off[t] : off[t + 1]], gates_all[off[t] : off[t + 1]]
+            h_new, tmp = scratch[:, : m[t]]
             zr, c = gates[:, : 2 * nh], gates[:, 2 * nh :]
             zr += h @ p["u_zr"]
             sigmoid(zr, out=zr)
             z, r = zr[:, :nh], zr[:, nh:]
             c += np.multiply(r, h, out=tmp) @ p["u_c"]
             np.tanh(c, out=c)
-            h_new = h_all[t + 1]
             np.subtract(1.0, z, out=h_new)
             h_new *= h
             h_new += np.multiply(z, c, out=tmp)
+            # the rows of length t + 1 end here; the first m[t + 1] enter step t + 1
+            ends = slice(active[t + 1], active[t])
+            out[order[ends]] = h_new[ends]
+            if t + 1 < nsteps:
+                states[off[t + 1] : off[t + 2]] = h_new[: m[t + 1]]
 
-        self._cache = (x, lengths, h_all, proj)
-        return h_all[lengths, np.arange(nb)]
+        self._cache = (x, order, active, off, rows, cols, states, gates_all)
+        return out
 
     def backward(self, dy):
-        x, lengths, h_all, gates_all = self._take_cache()
-        last = lengths - 1
-        nb, nt, _ = x.shape
+        x, order, active, off, rows, cols, states, gates_all = self._take_cache()
         nh = self.nhidden
         p, g = self.params, self.grads
+        self._backward_steps(dy[order], active, off, states, gates_all)
 
-        dh = np.zeros_like(dy)
-        dz, tmp = np.empty((nb, nh)), np.empty((nb, nh))
-        for t in range(nt - 1, -1, -1):
-            # the output of sample i is its state after step lengths[i] - 1
-            ends = last == t
-            dh[ends] += dy[ends]
-            h_prev, gates = h_all[t], gates_all[:, t]
+        # the gate buffer now holds daz | dar | dac for every packed row
+        g["u_zr"] += states.T @ gates_all[:, : 2 * nh]
+        del states  # freed before the input gradient is allocated
+        g["w_in"] += x[rows, cols].T @ gates_all
+        g["b"] += gates_all.sum(axis=0)
+        dx = np.zeros_like(x)
+        dx[rows, cols] = gates_all @ p["w_in"].T
+        return dx
+
+    def _backward_steps(self, dy, active, off, states, gates_all):
+        """Walk the steps back, overwriting each step's gates with the gradients of their pre-activations.
+
+        dy is in sorted row order. Accumulates the u_c gradient, which needs
+        r * h_prev from before r is overwritten. Its scratch and its views of
+        the states die on return, so backward can free the states.
+        """
+        nb, nh = dy.shape
+        p, g = self.params, self.grads
+        dh_all = np.zeros_like(dy)
+        scratch = np.empty((2, nb, nh))
+        for t in range(len(off) - 2, -1, -1):
+            # the output of sorted row j is its state after step ls[j] - 1
+            ends = slice(active[t + 1], active[t])
+            dh_all[ends] += dy[ends]
+            n = off[t + 1] - off[t]
+            h_prev, gates = states[off[t] : off[t + 1]], gates_all[off[t] : off[t + 1]]
+            dh, (dz, tmp) = dh_all[:n], scratch[:, :n]
             z, r, c = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 2 * nh :]
 
             # each gate is overwritten by the gradient of its pre-activation: daz | dar | dac
@@ -239,14 +299,7 @@ class GRU(Layer):
             np.subtract(1.0, r, out=r)
             r *= tmp
 
-            dg = gates[:, : 2 * nh]
-            g["u_zr"] += h_prev.T @ dg
-            dh += dg @ p["u_zr"].T
-
-        flat = gates_all.reshape(nb * nt, 3 * nh)
-        g["w_in"] += x.reshape(nb * nt, self.nin).T @ flat
-        g["b"] += flat.sum(axis=0)
-        return (flat @ p["w_in"].T).reshape(nb, nt, self.nin)
+            dh += gates[:, : 2 * nh] @ p["u_zr"].T
 
     def descriptor(self):
         return {"kind": "gru", "nin": self.nin, "nhidden": self.nhidden}

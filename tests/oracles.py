@@ -387,12 +387,13 @@ def sigmoid_two_branch(x):
     return out
 
 
-def gru_masked_loop(params, x, lengths, dy):
+def gru_masked_loop(params, x, lengths, dy=None):
     """GRU forward and backward that freeze each sample's state after its length.
 
     The per-step masked update: h = m * h_new + (1 - m) * h with m = [t < length],
     and the matching masked backward. Returns (last states (B, H), input
-    gradient (B, T, D), parameter gradients keyed like GRU.params).
+    gradient (B, T, D), parameter gradients keyed like GRU.params); with dy
+    None, only the last states.
     """
     nb, nt, nin = x.shape
     nh = params["u_c"].shape[0]
@@ -412,6 +413,8 @@ def gru_masked_loop(params, x, lengths, dy):
         zs.append(z)
         rs.append(r)
         cs.append(c)
+    if dy is None:
+        return h
 
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dh = dy.copy()

@@ -14,7 +14,9 @@ from ddsd.components import (
 from ddsd.data import read_manifest, by_split
 from ddsd.errors import DataError
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
-from ddsd.nn import Context, TrainConfig
+from ddsd.nn import GRU, Context, TrainConfig
+
+from oracles import gru_masked_loop
 
 
 def test_prosody_parameter_budget():
@@ -130,6 +132,51 @@ def test_training_determinism(tiny_corpus):
     a, b = run(), run()
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
+
+
+class _MaskedLoopGRU(GRU):
+    """The padded, masked loop of the oracle behind the GRU interface."""
+
+    def forward(self, x, ctx):
+        lengths = np.full(x.shape[0], x.shape[1]) if ctx.lengths is None else ctx.lengths
+        self._cache = (x, lengths)
+        return gru_masked_loop(self.params, x, lengths)
+
+    def backward(self, dy):
+        x, lengths = self._take_cache()
+        _, dx, grads = gru_masked_loop(self.params, x, lengths, dy)
+        for key, grad in grads.items():
+            self.grads[key] += grad
+        return dx
+
+
+@pytest.mark.parametrize("modality", ["prosody", "acoustic"])
+def test_training_trajectory_matches_masked_loop_gru(tiny_corpus, modality):
+    # the packed GRU changes gradients in the last bits only: two epochs stay on the padded loop's path
+    all_utts = read_manifest(tiny_corpus["manifest"])
+    base = tiny_corpus["root"]
+    # a few utterances of each class keep the padded loop within the time budget
+    utts = [
+        u
+        for split, n_pos, n_neg in (("train-comp", 5, 11), ("val-comp", 4, 8))
+        for label, n in ((1, n_pos), (0, n_neg))
+        for u in [u for u in by_split(all_utts, split) if u.label_int() == label][:n]
+    ]
+    test_feats = [load_features(modality, u, base) for u in by_split(all_utts, "test")[:12]]
+
+    def run(oracle):
+        model = build_component(modality, seed=4)
+        if oracle:
+            gru = model.graph.layers[0]
+            model.graph.layers[0] = _MaskedLoopGRU(gru.nin, gru.nhidden, rng=None)
+            model.graph.layers[0].params = gru.params  # the same initial weights
+        history, _ = train_component(model, utts, base, TrainConfig(epochs=2, batch_size=8, seed=4))
+        scores, _ = infer_component_batch(model, test_feats)
+        return [(h.train_loss, h.val_metric) for h in history], scores
+
+    (history, scores), (want_history, want_scores) = run(False), run(True)
+    np.testing.assert_allclose(history, want_history, rtol=1e-9)
+    np.testing.assert_allclose(scores, want_scores, rtol=1e-9)
 
 
 def test_save_load_round_trip(trained_tiny, tmp_path):

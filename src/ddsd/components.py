@@ -227,7 +227,11 @@ def export_directedness(models, utts, base_dir, out_dir):
 def ingest_precomputed(utts, base_dir):
     """Read exported score/embedding records into FusionSamples.
 
-    Dimension mismatches are rejected with the offending utterance id.
+    Each embedding is the record's float32 payload as decoded, not a float64
+    copy: every float32 value is exact in float64, and the network widens
+    each batch when it reads it, so a wider copy would only take memory.
+    Dimension mismatches and a second record of one (modality, kind) are
+    rejected with the offending utterance id.
     """
     from .fusion import EmbeddingSet, FusionSample, ScoreSet
 
@@ -238,9 +242,13 @@ def ingest_precomputed(utts, base_dir):
         recs = read_records(os.path.join(base_dir, u.feature_paths["directedness"]))
         scores = {}
         embeddings = {}
+        seen = set()
         for rec in recs:
             if rec.utterance_id != u.utterance_id:
                 raise DataError(f"{u.utterance_id}: record belongs to {rec.utterance_id}")
+            if (rec.modality, rec.kind) in seen:
+                raise DataError(f"{u.utterance_id}: second {rec.modality} {rec.kind} record")
+            seen.add((rec.modality, rec.kind))
             if rec.kind == "score":
                 if rec.payload.shape != (1,):
                     raise DataError(f"{u.utterance_id}: {rec.modality} score must be scalar")
@@ -252,7 +260,7 @@ def ingest_precomputed(utts, base_dir):
                         f"{u.utterance_id}: {rec.modality} embedding has shape "
                         f"{tuple(rec.payload.shape)}, expected ({want},)"
                     )
-                embeddings[rec.modality] = rec.payload.astype(np.float64) if rec.present else None
+                embeddings[rec.modality] = rec.payload if rec.present else None
         samples.append(
             FusionSample(
                 utterance_id=u.utterance_id,

@@ -103,7 +103,7 @@ def read_records(path):
         offset = end
         size = math.prod(shape)
         end = _need(raw, offset, 4 * size, path, f"payload of {ident}")
-        payload = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape).copy()
+        payload = np.frombuffer(raw, dtype="<f4", count=size, offset=offset).reshape(shape).copy()
         offset = end
         records.append(
             Record(

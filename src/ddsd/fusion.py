@@ -15,6 +15,13 @@ missing: each epoch, every (sample, modality) input is independently
 replaced, with one probability p for all modalities, by the same sentinel
 encoding. Training and inference share one encoder; MD writes the same
 sentinel over the dropped column blocks of its output.
+
+Embeddings keep the precision they arrive in: ingested records hold float32,
+and an EL input matrix is float32 when every present embedding is. Every
+float32 value, the -99999 fill included, is exact in float64, and the
+network widens each batch to float64 as it reads it, so a float64 matrix
+would double the memory and leave every score the same. SL matrices are
+float64, because their inverse-softmax logits are computed here.
 """
 
 from dataclasses import dataclass
@@ -51,6 +58,12 @@ class ScoreSet:
 
 @dataclass
 class EmbeddingSet:
+    """Per-modality embedding vectors; None marks an absent modality in memory.
+
+    Vectors keep their own dtype: float32 as read from records, float64 when
+    a model produced them in memory. encode_inputs widens only as needed.
+    """
+
     embeddings: dict
 
     def present(self, modality):
@@ -146,13 +159,23 @@ def input_width(model):
 
 
 def encode_inputs(model, samples):
-    """(N, width) network input matrix with sentinel encoding of absences."""
+    """(N, width) network input matrix with sentinel encoding of absences.
+
+    SL is float64. EL takes the widest dtype of float32 and the present
+    embeddings, so float32 records give a float32 matrix.
+    """
     sl = model.kind == "SL"
     widths = _widths(model.kind, model.modalities)
-    x = np.empty((len(samples), sum(widths)))
+    columns = [
+        [(s.scores.scores if sl else s.embeddings.embeddings).get(m) for s in samples] for m in model.modalities
+    ]
+    dtype = np.float64
+    if not sl:
+        # one argument per distinct dtype: numpy 1.x caps result_type's argument count
+        dtype = np.result_type(np.float32, *{v.dtype for values in columns for v in values if v is not None})
+    x = np.empty((len(samples), sum(widths)), dtype=dtype)
     col = 0
-    for m, width in zip(model.modalities, widths):
-        values = [(s.scores.scores if sl else s.embeddings.embeddings).get(m) for s in samples]
+    for m, width, values in zip(model.modalities, widths, columns):
         absent = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
         rows = np.flatnonzero(~absent)
         present = [values[i] for i in rows]
@@ -178,7 +201,8 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
     With a ModalityDropoutConfig, each epoch redraws, independently per
     sample and modality with probability md.p, which branch inputs are
     replaced by the missing-data sentinel. The training set is encoded once;
-    an epoch's matrix is a copy with the dropped column blocks overwritten.
+    each epoch copies it into one buffer, reused every epoch, and overwrites
+    the dropped column blocks there.
     """
     if model.kind == "AVG":
         return [], -1
@@ -199,12 +223,13 @@ def train_fusion(model, train_samples, val_samples, config=None, md=None, log=No
         md_rng = np.random.default_rng(md.seed)
         column_modality = np.repeat(np.arange(len(model.modalities)), _widths(model.kind, model.modalities))
         sentinel = SCORE_SENTINEL if model.kind == "SL" else EMBEDDING_SENTINEL
+        buf = np.empty_like(train_x)
 
         def epoch_inputs():
             drop = md_rng.random((len(train_samples), len(model.modalities))) < md.p
-            x = train_x.copy()
-            x[drop[:, column_modality]] = sentinel
-            return x
+            np.copyto(buf, train_x)
+            buf[drop[:, column_modality]] = sentinel
+            return buf
 
     return fit(
         model.graph, train_x, labels, val_x, val_y, config, compute_eer,

@@ -105,7 +105,9 @@ def fit(
 
     epoch_inputs, when given, is called with no arguments at the start of
     every epoch and returns that epoch's inputs (used for modality dropout,
-    which redraws dropped inputs each epoch).
+    which redraws dropped inputs each epoch). fit reads what it returns only
+    until the next call, so the callee may hand back one buffer every epoch,
+    rewritten in place.
     """
     config.validate()
     labels = np.asarray(labels, dtype=np.float64)

@@ -9,8 +9,10 @@ import math
 import numpy as np
 
 from ddsd.dsp.pitch import CANDIDATE_FLOOR, F0_MAX, F0_MIN, MAX_CANDIDATES, OCTAVE_COST
+from ddsd.errors import NumericError
 from ddsd.fusion import EMBEDDING_SENTINEL, SCORE_CLAMP, SCORE_SENTINEL
 from ddsd.modalities import EMBEDDING_DIMS
+from ddsd.nn.optim import global_grad_norm
 
 
 def brute_force_det(scores, labels):
@@ -444,3 +446,36 @@ def gru_masked_loop(params, x, lengths, dy=None):
     grads["w_in"] += x.reshape(nb * nt, nin).T @ flat
     grads["b"] += flat.sum(axis=0)
     return h, (flat @ params["w_in"].T).reshape(nb, nt, nin), grads
+
+
+def adam_step_allocating(adam, named_params):
+    """Adam.step written as one expression per update, each operation a fresh temporary.
+
+    Uses adam's hyperparameters and advances its t, _m and _v, so an in-place
+    step can be checked against it bit for bit.
+    """
+    for name, layer, key in named_params:
+        if not np.all(np.isfinite(layer.grads[key])):
+            raise NumericError(f"non-finite gradient for parameter {name}")
+
+    scale = 1.0
+    if adam.clip_norm is not None and adam.clip_norm > 0:
+        norm = global_grad_norm(named_params)
+        if norm > adam.clip_norm:
+            scale = adam.clip_norm / norm
+
+    adam.t += 1
+    bc1 = 1.0 - adam.beta1**adam.t
+    bc2 = 1.0 - adam.beta2**adam.t
+    for name, layer, key in named_params:
+        g = layer.grads[key] * scale
+        if name not in adam._m:
+            adam._m[name] = np.zeros_like(g)
+            adam._v[name] = np.zeros_like(g)
+        m = adam._m[name]
+        v = adam._v[name]
+        m *= adam.beta1
+        m += (1.0 - adam.beta1) * g
+        v *= adam.beta2
+        v += (1.0 - adam.beta2) * g * g
+        layer.params[key] -= adam.lr * (m / bc1) / (np.sqrt(v / bc2) + adam.eps)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from ddsd.components import (
     train_component,
 )
 from ddsd.data import read_manifest, by_split
+from ddsd.data.manifest import Utterance
+from ddsd.data.records import Record, write_records
 from ddsd.errors import DataError
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
 from ddsd.nn import GRU, Context, TrainConfig
@@ -224,6 +228,43 @@ def test_ingest_rejects_bad_dims(trained_tiny, tmp_path):
     u.feature_paths = {"directedness": rel}
     with pytest.raises(DataError, match=u.utterance_id):
         ingest_precomputed([u], base)
+
+
+def _directedness_utterance(base, uid, records):
+    rel = f"{uid}.dir.rec"
+    write_records(os.path.join(base, rel), records)
+    return Utterance(uid, "directed", "test", feature_paths={"directedness": rel})
+
+
+def test_ingest_keeps_record_payloads_as_float32(tmp_path):
+    rng = np.random.default_rng(13)
+    recs = []
+    for m in MODALITIES:
+        present = m != "text"
+        recs.append(Record("u0", m, "score", present, np.array([rng.uniform() if present else -1.0])))
+        emb = rng.normal(size=EMBEDDING_DIMS[m]) if present else np.full(EMBEDDING_DIMS[m], -99999.0)
+        recs.append(Record("u0", m, "embedding", present, emb))
+    (sample,) = ingest_precomputed([_directedness_utterance(tmp_path, "u0", recs)], str(tmp_path))
+    for rec in recs:
+        got = (sample.scores.scores if rec.kind == "score" else sample.embeddings.embeddings)[rec.modality]
+        if not rec.present:
+            assert got is None
+        elif rec.kind == "score":
+            assert got == float(rec.payload[0])
+        else:
+            assert got.dtype == np.float32 and got.tobytes() == rec.payload.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["score", "embedding"])
+def test_ingest_rejects_a_second_record_of_one_modality_and_kind(tmp_path, kind):
+    payload = np.array([0.5]) if kind == "score" else np.zeros(EMBEDDING_DIMS["asr"])
+    recs = [
+        Record("u7", "asr", kind, True, payload),
+        Record("u7", "prosody", "score", True, np.array([0.3])),
+        Record("u7", "asr", kind, False, payload),
+    ]
+    with pytest.raises(DataError, match=f"u7: second asr {kind} record"):
+        ingest_precomputed([_directedness_utterance(tmp_path, "u7", recs)], str(tmp_path))
 
 
 def test_unknown_modality_rejected():

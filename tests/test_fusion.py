@@ -26,6 +26,7 @@ from ddsd.fusion import (
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
 from ddsd.nn import TrainConfig, sigmoid, train
 
+from memtrace import traced_call
 from oracles import encode_inputs_loop
 
 
@@ -248,7 +249,7 @@ def _capture_fit(monkeypatch, epochs_to_draw=0):
     def fake_fit(graph, inputs, labels, val_inputs, val_labels, config, val_metric, log=None,
                  epoch_inputs=None):
         seen.update(inputs=inputs, val_inputs=val_inputs)
-        seen["epochs"] = [epoch_inputs() for _ in range(epochs_to_draw)]
+        seen["epochs"] = [epoch_inputs().copy() for _ in range(epochs_to_draw)]
         return [], -1
 
     monkeypatch.setattr(fusion, "fit", fake_fit)
@@ -381,6 +382,73 @@ def test_infer_fusion_batch_equals_one_forward_pass(monkeypatch, kind):
     # another order, so batches of 7 agree with one pass to rounding, not bit for bit
     np.testing.assert_allclose(infer_fusion_batch(model, samples), expected, rtol=0, atol=1e-14)
     assert infer_fusion_batch(model, []).shape == (0,)
+
+
+# -- precision ----------------------------------------------------------------
+
+
+def _with_embeddings(samples, dtype):
+    """Copies of samples whose present embeddings are cast to dtype; scores and absences kept."""
+    return [
+        FusionSample(
+            s.utterance_id, s.label, ScoreSet(dict(s.scores.scores)),
+            EmbeddingSet({m: None if e is None else e.astype(dtype) for m, e in s.embeddings.embeddings.items()}),
+        )
+        for s in samples
+    ]
+
+
+@pytest.mark.parametrize("kind", ["SL", "EL"])
+def test_float32_samples_fuse_like_their_float64_copies(kind):
+    # ingested embeddings are float32; widening them first changes no input and no score
+    rng = np.random.default_rng(23)
+    clean = _with_embeddings([_random_sample(rng, uid=f"c{i}") for i in range(40)], np.float32)
+    absent = _with_embeddings(_subset_samples(rng), np.float32)
+    model = build_fusion(kind, MODALITIES, seed=6)
+    for samples in (clean, absent):
+        wide = _with_embeddings(samples, np.float64)
+        x, x_wide = encode_inputs(model, samples), encode_inputs(model, wide)
+        assert x.dtype == (np.float64 if kind == "SL" else np.float32)
+        assert x_wide.dtype == np.float64
+        np.testing.assert_array_equal(x, x_wide)
+        np.testing.assert_array_equal(infer_fusion_batch(model, samples), infer_fusion_batch(model, wide))
+
+
+def test_el_md_training_on_float32_samples_matches_float64_copies():
+    rng = np.random.default_rng(29)
+    train_s, val, test = (_with_embeddings(_toy_fusion_data(rng, n), np.float32) for n in (200, 60, 60))
+    for i, s in enumerate(test[::2]):
+        s.embeddings.embeddings[MODALITIES[i % len(MODALITIES)]] = None
+    runs = []
+    for dtype in (np.float32, np.float64):
+        model = build_fusion("EL", MODALITIES, seed=3)
+        history, best = train_fusion(
+            model, _with_embeddings(train_s, dtype), _with_embeddings(val, dtype),
+            TrainConfig(epochs=2, batch_size=64, seed=3), md=ModalityDropoutConfig(p=0.3, seed=4),
+        )
+        runs.append((history, best, model.graph.snapshot_params(),
+                     infer_fusion_batch(model, _with_embeddings(test, dtype))))
+    (h32, b32, p32, s32), (h64, b64, p64, s64) = runs
+    assert h32 == h64 and b32 == b64
+    for k in p32:
+        np.testing.assert_array_equal(p32[k], p64[k], err_msg=k)
+    np.testing.assert_array_equal(s32, s64)
+
+
+def test_el_md_training_memory_is_two_float32_matrices():
+    # the float32 training matrix and MD's one epoch buffer are 2 cells of N x width x 4
+    # bytes, the drop mask 1/4; optimizer state, snapshots and batches stay under one
+    # more at this N. A float64 matrix with a fresh float64 copy per epoch held 6 cells.
+    n = 4000
+    rng = np.random.default_rng(37)
+    samples = _with_embeddings(_toy_fusion_data(rng, n), np.float32)
+    model = build_fusion("EL", MODALITIES, seed=1)
+    cell = n * input_width(model) * 4
+    _, peak, _ = traced_call(
+        train_fusion, model, samples, samples[:64], TrainConfig(epochs=2, batch_size=150, seed=1),
+        md=ModalityDropoutConfig(p=0.3, seed=2),
+    )
+    assert peak <= 3.5 * cell, f"peak {peak / cell:.2f}x N x width x 4 bytes"
 
 
 def test_avg_model_needs_no_training():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from ddsd.nn import (
 )
 from ddsd.nn.graph import _walk
 
+from memtrace import traced_call
 from oracles import gru_masked_loop, sigmoid_two_branch
 
 
@@ -191,13 +190,12 @@ def test_gru_forward_backward_peak_memory_is_gate_buffer_and_states():
     x = rng.normal(size=(nb, nt, nin))
     dy = rng.normal(size=(nb, nh))
     ctx = Context(lengths=rng.integers(1, nt + 1, size=nb))
-    tracemalloc.start()
-    try:
+
+    def forward_backward():
         gru.forward(x, ctx)
         gru.backward(dy)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak, _ = traced_call(forward_backward)
     packed = _packed_gates_and_states(nh, ctx.lengths)
     assert peak <= 1.2 * packed, f"peak {peak / packed:.2f}x the packed gates and states"
 
@@ -233,15 +231,9 @@ def test_gru_predict_returns_memory_to_its_outputs():
     rng = np.random.default_rng(53)
     graph = build_component("acoustic", seed=2).graph
     seqs = [rng.normal(size=(t, nin)) for t in np.concatenate([[nt], rng.integers(1, nt + 1, size=nb - 1)])]
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        scores, taps = predict(graph, seqs, tap=0)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (scores, taps), peak, kept = traced_call(predict, graph, seqs, tap=0)
     packed = _packed_gates_and_states(nh, [len(s) for s in seqs])
-    assert current - start <= scores.nbytes + taps.nbytes + 4096, f"{current - start} bytes kept"
+    assert kept <= scores.nbytes + taps.nbytes + 4096, f"{kept} bytes kept"
     assert peak <= 1.2 * packed, f"peak {peak / packed:.2f}x the packed gates and states"
 
 

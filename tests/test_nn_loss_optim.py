@@ -19,6 +19,9 @@ from ddsd.nn import (
     weighted_bce,
 )
 from ddsd.nn import train
+from ddsd.nn.optim import global_grad_norm
+
+from oracles import adam_step_allocating
 
 
 def test_bce_half_prediction_positive():
@@ -109,6 +112,32 @@ def test_adam_converges_on_convex_quadratic():
     # strictly decreasing after step 10
     for a, b in zip(losses[10:-1], losses[11:]):
         assert b < a
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_adam_step_is_bit_identical_to_allocating_step(clip_norm):
+    # parameters of several sizes share the scratch; gradient norms span the clip
+    def graph():
+        rng = np.random.default_rng(3)
+        return ModelGraph([Dense(6, 5, "relu", rng=rng), LayerNorm(5), Dense(5, 1, "sigmoid", rng=rng)])
+
+    graphs = [graph(), graph()]
+    adams = [Adam(lr=0.01, clip_norm=clip_norm) for _ in range(2)]
+    named = [g.named_params() for g in graphs]
+    rng = np.random.default_rng(17)
+    clipped = 0
+    for _ in range(20):
+        scale = 10.0 ** rng.uniform(-2, 1)
+        for (_, a, key), (_, b, _) in zip(*named):
+            a.grads[key][...] = b.grads[key][...] = scale * rng.normal(size=a.grads[key].shape)
+        clipped += global_grad_norm(named[0]) > 1.0
+        adams[0].step(named[0])
+        adam_step_allocating(adams[1], named[1])
+        for (name, a, key), (_, b, _) in zip(*named):
+            np.testing.assert_array_equal(a.params[key], b.params[key], err_msg=name)
+            np.testing.assert_array_equal(adams[0]._m[name], adams[1]._m[name], err_msg=name)
+            np.testing.assert_array_equal(adams[0]._v[name], adams[1]._v[name], err_msg=name)
+    assert 0 < clipped < 20
 
 
 def test_train_config_validation():

@@ -24,7 +24,7 @@ from ..modalities import MODALITIES
 from ..nn.layers import sigmoid
 from .manifest import Utterance, write_manifest
 from .records import Record, write_records
-from ..dsp.audio import write_wav
+from ..dsp.audio import SAMPLE_RATE, write_wav
 
 # one tenth of the reference corpus counts (directed, not-directed)
 BASE_COUNTS = {
@@ -37,7 +37,6 @@ BASE_COUNTS = {
 
 DEFAULT_SEPARABILITY = {"acoustic": 1.7, "text": 2.0, "asr": 2.3, "prosody": 1.4}
 
-SAMPLE_RATE = 16000
 ASR_DIM = 8
 
 _DIRECTED_WORDS = (
@@ -203,7 +202,7 @@ def generate_corpus(config, out_dir):
 
                 audio = synth_audio(rng, traits["prosody"], traits["acoustic"], q_audio, f0s[spk])
                 wav_rel = os.path.join("audio", f"{uid}.wav")
-                write_wav(os.path.join(out_dir, wav_rel), audio, SAMPLE_RATE)
+                write_wav(os.path.join(out_dir, wav_rel), audio)
 
                 asr_rel = os.path.join("features", f"{uid}.asr.rec")
                 write_records(

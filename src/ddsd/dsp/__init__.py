@@ -1,6 +1,10 @@
-"""Prosody and filterbank feature extraction at 100 Hz."""
+"""Prosody and filterbank feature extraction at 100 Hz.
 
-from .audio import AudioBuffer, frame_centers, frame_count, read_wav, resample_to, write_wav
+Input is 16 kHz mono 16-bit PCM audio; ``read_wav`` raises ``DataError`` for
+any other file.
+"""
+
+from .audio import AudioBuffer, frame_centers, frame_count, read_wav, write_wav
 from .melbank import extract_filterbank, mel_filterbank_matrix
 from .pitch import extract_pitch_voicing
 from .prosody import assemble_prosody_track
@@ -19,6 +23,5 @@ __all__ = [
     "frame_speech_probability",
     "mel_filterbank_matrix",
     "read_wav",
-    "resample_to",
     "write_wav",
 ]

@@ -3,10 +3,12 @@
 import numpy as np
 
 from .. import kernels
-from .audio import PITCH_WINDOW_S, centered_frames, frame_centers
+from .audio import PITCH_WINDOW, SAMPLE_RATE, centered_frames, frame_centers
 
 F0_MIN = 60.0
 F0_MAX = 400.0
+LAG_MIN = 40  # floor(SAMPLE_RATE / F0_MAX) samples
+LAG_MAX = 267  # ceil(SAMPLE_RATE / F0_MIN) samples
 
 MAX_CANDIDATES = 6
 CANDIDATE_FLOOR = 0.25   # NCC below this never becomes a pitch candidate
@@ -16,16 +18,16 @@ UV_SWITCH_COST = 0.20    # voiced <-> unvoiced transition penalty
 UNVOICED_MERIT = 0.42    # stand-in NCC merit of the unvoiced state
 
 
-def _candidates(r, lag_min, lag_max, sr):
+def _candidates(r):
     """Per-frame pitch candidates: (log2f, merit, valid), each (T, MAX_CANDIDATES).
 
     Candidates are the local maxima of the NCC r above CANDIDATE_FLOOR at
-    lags lag_min..lag_max; r needs one more lag on each side. A frame's slots
+    lags LAG_MIN..LAG_MAX; r needs one more lag on each side. A frame's slots
     hold its peaks in lag order, or its MAX_CANDIDATES highest peaks in
     descending NCC order when it has more. Each peak is refined by parabolic
     interpolation; empty slots are invalid with merit -1e30.
     """
-    inner = r[:, lag_min - 1 : lag_max + 2]
+    inner = r[:, LAG_MIN - 1 : LAG_MAX + 2]
     is_peak = (inner[:, 1:-1] > inner[:, :-2]) & (inner[:, 1:-1] >= inner[:, 2:])
     is_peak &= inner[:, 1:-1] > CANDIDATE_FLOOR
 
@@ -37,7 +39,7 @@ def _candidates(r, lag_min, lag_max, sr):
         cols[many] = np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :MAX_CANDIDATES]
     valid = np.arange(MAX_CANDIDATES) < n_peaks[:, None]
 
-    lag = cols + lag_min
+    lag = cols + LAG_MIN
     r_lo = np.take_along_axis(r, lag - 1, axis=1)
     r_mid = np.take_along_axis(r, lag, axis=1)
     r_hi = np.take_along_axis(r, lag + 1, axis=1)
@@ -47,7 +49,7 @@ def _candidates(r, lag_min, lag_max, sr):
     lag_ref = np.where(curved, lag + delta, lag)
     val = np.where(curved, r_mid - 0.25 * (r_lo - r_hi) * delta, r_mid)
 
-    freq = np.clip(sr / lag_ref, F0_MIN, F0_MAX)
+    freq = np.clip(SAMPLE_RATE / lag_ref, F0_MIN, F0_MAX)
     log2f = np.where(valid, np.log2(freq), 0.0)
     merit = np.where(valid, val - OCTAVE_COST * np.log2(F0_MAX / freq), -1e30)
     return log2f, merit, valid.astype(np.uint8)
@@ -60,23 +62,18 @@ def extract_pitch_voicing(buf):
     smoothed by a Viterbi pass that penalizes log-pitch jumps; voicing is the
     peak NCC clipped to [0, 1].
     """
-    sr = buf.sample_rate
     x = buf.samples
-    centers = frame_centers(x.shape[0], sr)
+    centers = frame_centers(x.shape[0])
     n_frames = centers.shape[0]
 
-    win = int(round(PITCH_WINDOW_S * sr))
-    lag_min = int(np.floor(sr / F0_MAX))
-    lag_max = int(np.ceil(sr / F0_MIN))
-    lag_hi = lag_max + 1  # one extra lag so boundary peaks can be interpolated
+    lag_hi = LAG_MAX + 1  # one extra lag so boundary peaks can be interpolated
+    ext = centered_frames(x, centers, PITCH_WINDOW + lag_hi)
+    r = kernels.nccf(ext, PITCH_WINDOW, lag_hi)
 
-    ext = centered_frames(x, centers, win + lag_hi)
-    r = kernels.nccf(ext, win, lag_hi)
-
-    search = r[:, lag_min : lag_max + 1]
+    search = r[:, LAG_MIN : LAG_MAX + 1]
     voicing = np.clip(search.max(axis=1), 0.0, 1.0)
 
-    log2f, merit, valid = _candidates(r, lag_min, lag_max, sr)
+    log2f, merit, valid = _candidates(r)
     path = kernels.viterbi_pitch(
         log2f, merit, valid, UNVOICED_MERIT, TRANSITION_WEIGHT, UV_SWITCH_COST
     )

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import kernels
 from ..nn.layers import sigmoid
-from .audio import centered_frames, frame_centers, grid_params
+from .audio import WINDOW, centered_frames, frame_centers
 
 ENERGY_KNEE = -10.0     # ln of mean power; ~0.007 RMS amplitude
 ENERGY_SLOPE = 3.0
@@ -26,15 +26,12 @@ _POWER_EPS = 1e-20
 
 def frame_speech_probability(buf):
     """Pre-smoothing per-frame speech probability in [0, 1]."""
-    sr = buf.sample_rate
     x = buf.samples
-    centers = frame_centers(x.shape[0], sr)
-    win, _ = grid_params(sr)
-    frames = centered_frames(x, centers, win)
+    frames = centered_frames(x, frame_centers(x.shape[0]), WINDOW)
 
     log_e = np.log(np.mean(frames * frames, axis=1) + 1e-10)
 
-    power = np.abs(np.fft.rfft(frames * np.hanning(win), axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames * np.hanning(WINDOW), axis=1)) ** 2
     power = power[:, 1:]  # drop DC
     flatness = np.exp(np.mean(np.log(power + _POWER_EPS), axis=1)) / (
         np.mean(power, axis=1) + _POWER_EPS
@@ -43,7 +40,7 @@ def frame_speech_probability(buf):
     # temporal energy concentration over 5 ms blocks; a 5 ms click is
     # low-pass (sinc spectrum with nulls), so flatness alone cannot veto it
     n_blocks = 5
-    block = win // n_blocks
+    block = WINDOW // n_blocks
     sq = frames[:, : block * n_blocks] ** 2
     block_e = sq.reshape(frames.shape[0], n_blocks, block).sum(axis=2)
     concentration = block_e.max(axis=1) / (block_e.sum(axis=1) + _POWER_EPS)

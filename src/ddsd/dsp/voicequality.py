@@ -11,7 +11,8 @@ fall inside the 40 ms window.
 import numpy as np
 
 from .. import kernels
-from .audio import PITCH_WINDOW_S, frame_centers, grid_params
+from ..errors import DataError
+from .audio import HOP, PITCH_WINDOW, SAMPLE_RATE, frame_centers
 
 MIN_PULSES = 3
 
@@ -47,26 +48,22 @@ def _windowed_variation(values, points, lo, hi, min_count):
 
 def extract_jitter_shimmer(buf, pitch_hz):
     """Per-frame (jitter, shimmer) aligned to the pitch track's grid."""
-    sr = buf.sample_rate
     x = buf.samples
-    centers = frame_centers(x.shape[0], sr)
+    centers = frame_centers(x.shape[0])
     n_frames = centers.shape[0]
     if pitch_hz.shape[0] != n_frames:
-        from ..errors import DataError
-
         raise DataError("pitch track is not aligned to the frame grid")
 
-    _, hop = grid_params(sr)
-    half = int(round(PITCH_WINDOW_S * sr)) // 2
+    half = PITCH_WINDOW // 2
     voiced = pitch_hz > 0
-    periods = np.where(voiced, sr / np.where(voiced, pitch_hz, 1.0), 0.0)
+    periods = np.where(voiced, SAMPLE_RATE / np.where(voiced, pitch_hz, 1.0), 0.0)
 
     jitter = np.zeros(n_frames)
     shimmer = np.zeros(n_frames)
     for f0, f1 in _voiced_regions(voiced):
         start = max(int(centers[f0]) - half, 0)
         stop = min(int(centers[f1 - 1]) + half, x.shape[0])
-        pos, amp = kernels.cycle_peaks(x, start, stop, periods, hop, f0, f1)
+        pos, amp = kernels.cycle_peaks(x, start, stop, periods, HOP, f0, f1)
         if pos.shape[0] < MIN_PULSES:
             continue
         lo = centers[f0:f1] - half

@@ -3,8 +3,8 @@
 Deterministic byte-level fuzzing: truncation at every byte of a saved EL
 fusion model's header and at every 8-byte boundary after it, trailing
 bytes, every single-bit flip in the header of an EL fusion model and of an
-ASR component model, and corrupt record files. Any other exception type
-escaping a loader is a bug.
+ASR component model, corrupt record files, and cut or foreign WAV files.
+Any other exception type escaping a loader is a bug.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 
 from ddsd.components import ComponentModel, Standardizer, build_component, infer_component_batch
 from ddsd.data import Record, read_records, write_records
+from ddsd.dsp.audio import SAMPLE_RATE, read_wav, write_wav
 from ddsd.errors import DataError
 from ddsd.fusion import FusionModel, build_fusion, input_width
 from ddsd.nn import Dense, ModelGraph
@@ -226,4 +227,25 @@ def test_record_file_truncations_and_bit_flips(tmp_path):
         for bit in range(8):
             data[k] ^= 1 << bit
             _load_or_none(read_records, path, data)
+            data[k] ^= 1 << bit
+
+
+@pytest.mark.parametrize("cut", ["empty", "not_riff", "header_cut", "data_cut"])
+def test_wav_file_cut_or_foreign_raises_data_error(tmp_path, cut):
+    path = tmp_path / "u.wav"
+    write_wav(path, np.zeros(SAMPLE_RATE))
+    raw = path.read_bytes()
+    data = {"empty": b"", "not_riff": b"OggS" + raw[4:], "header_cut": raw[:20], "data_cut": raw[:1000]}[cut]
+    assert _load_or_none(read_wav, path, data) is None
+
+
+def test_wav_header_bit_flips_load_or_raise_data_error(tmp_path):
+    path = tmp_path / "u.wav"
+    write_wav(path, 0.3 * np.sin(0.1 * np.arange(1600)))
+    raw = path.read_bytes()
+    data = bytearray(raw)
+    for k in range(44):  # the canonical RIFF, fmt and data chunk headers
+        for bit in range(8):
+            data[k] ^= 1 << bit
+            _load_or_none(read_wav, path, data)
             data[k] ^= 1 << bit

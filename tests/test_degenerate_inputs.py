@@ -8,30 +8,28 @@ import pytest
 from ddsd.components import Standardizer, build_component, infer_component_batch, train_component
 from ddsd.data import Record, read_records, write_records
 from ddsd.data.manifest import Utterance, read_manifest, write_manifest
-from ddsd.dsp.audio import AudioBuffer, write_wav
+from ddsd.dsp.audio import SAMPLE_RATE, AudioBuffer, write_wav
 from ddsd.errors import DataError, NumericError
 from ddsd.extraction import extract_features, extract_utterance
 from ddsd.nn import TrainConfig
-
-SR = 16000
 
 
 @pytest.mark.parametrize("n_samples", [0, 160])
 def test_audio_shorter_than_one_window_raises_data_error(n_samples):
     with pytest.raises(DataError):
-        extract_utterance(AudioBuffer(np.zeros(n_samples), SR))
+        extract_utterance(AudioBuffer(np.zeros(n_samples)))
 
 
 def test_two_frame_audio_gives_two_finite_frames():
     noise = np.random.default_rng(0).uniform(-0.5, 0.5, size=640)
-    prosody, fbank = extract_utterance(AudioBuffer(noise, SR))
+    prosody, fbank = extract_utterance(AudioBuffer(noise))
     assert prosody.shape == (2, 5) and fbank.shape == (2, 40)
     assert np.all(np.isfinite(prosody)) and np.all(np.isfinite(fbank))
 
 
 def test_silent_utterance_extracts_finite_frames(tmp_path):
     os.makedirs(tmp_path / "audio")
-    write_wav(tmp_path / "audio" / "u0.wav", np.zeros(SR), SR)
+    write_wav(tmp_path / "audio" / "u0.wav", np.zeros(SAMPLE_RATE))
     manifest = str(tmp_path / "manifest.jsonl")
     write_manifest(manifest, [Utterance("u0", "directed", "test", audio_path="audio/u0.wav")])
     (u,) = read_manifest(extract_features(manifest))

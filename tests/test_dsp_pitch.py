@@ -3,7 +3,7 @@ import pytest
 
 from ddsd import kernels
 from ddsd.dsp import AudioBuffer, extract_pitch_voicing
-from ddsd.dsp.audio import PITCH_WINDOW_S, centered_frames, frame_centers
+from ddsd.dsp.audio import PITCH_WINDOW, centered_frames, frame_centers
 from ddsd.dsp.pitch import (
     F0_MAX,
     F0_MIN,
@@ -23,7 +23,7 @@ LAG_MAX = int(np.ceil(SR / F0_MIN))
 
 @pytest.mark.parametrize("freq", [80, 100, 150, 200, 250, 300, 350, 400])
 def test_pure_tone_pitch_within_two_percent(freq):
-    pitch, voicing = extract_pitch_voicing(AudioBuffer(sine(freq), SR))
+    pitch, voicing = extract_pitch_voicing(AudioBuffer(sine(freq)))
     voiced = pitch > 0
     assert voiced.mean() > 0.8
     median = np.median(pitch[voiced])
@@ -32,14 +32,14 @@ def test_pure_tone_pitch_within_two_percent(freq):
 
 
 def test_sawtooth_no_octave_error():
-    pitch, _ = extract_pitch_voicing(AudioBuffer(sawtooth(120), SR))
+    pitch, _ = extract_pitch_voicing(AudioBuffer(sawtooth(120)))
     voiced = pitch > 0
     median = np.median(pitch[voiced])
     assert abs(median - 120.0) / 120.0 < 0.02
 
 
 def test_digital_silence_unvoiced():
-    pitch, voicing = extract_pitch_voicing(AudioBuffer(np.zeros(SR), SR))
+    pitch, voicing = extract_pitch_voicing(AudioBuffer(np.zeros(SR)))
     assert np.all(voicing < 0.1)
     assert np.all(pitch == 0.0)
 
@@ -47,7 +47,7 @@ def test_digital_silence_unvoiced():
 def test_voiced_pitch_range_invariant():
     rng = np.random.default_rng(0)
     x = sine(90) + 0.2 * rng.normal(size=SR)
-    pitch, voicing = extract_pitch_voicing(AudioBuffer(x, SR))
+    pitch, voicing = extract_pitch_voicing(AudioBuffer(x))
     voiced = pitch > 0
     assert np.all(pitch[voiced] >= 60.0)
     assert np.all(pitch[voiced] <= 400.0)
@@ -56,8 +56,8 @@ def test_voiced_pitch_range_invariant():
 
 def test_scale_invariance():
     x = sine(150)
-    p1, v1 = extract_pitch_voicing(AudioBuffer(x, SR))
-    p2, v2 = extract_pitch_voicing(AudioBuffer(0.5 * x, SR))
+    p1, v1 = extract_pitch_voicing(AudioBuffer(x))
+    p2, v2 = extract_pitch_voicing(AudioBuffer(0.5 * x))
     m = p1 > 0
     assert np.all(np.abs(p1[m] - p2[m]) / p1[m] < 0.01)
     assert np.max(np.abs(v1 - v2)) < 0.01
@@ -66,22 +66,21 @@ def test_scale_invariance():
 def test_determinism_bit_identical():
     rng = np.random.default_rng(3)
     x = sine(170) + 0.05 * rng.normal(size=SR)
-    buf = AudioBuffer(x, SR)
+    buf = AudioBuffer(x)
     p1, v1 = extract_pitch_voicing(buf)
-    p2, v2 = extract_pitch_voicing(AudioBuffer(x, SR))
+    p2, v2 = extract_pitch_voicing(AudioBuffer(x))
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_array_equal(v1, v2)
 
 
 def test_too_short_buffer_rejected():
     with pytest.raises(DataError):
-        extract_pitch_voicing(AudioBuffer(np.ones(100), SR))
+        extract_pitch_voicing(AudioBuffer(np.ones(100)))
 
 
 def _nccf_rows(x):
-    win = int(round(PITCH_WINDOW_S * SR))
-    ext = centered_frames(x, frame_centers(x.shape[0], SR), win + LAG_MAX + 1)
-    return kernels.nccf(ext, win, LAG_MAX + 1)
+    ext = centered_frames(x, frame_centers(x.shape[0]), PITCH_WINDOW + LAG_MAX + 1)
+    return kernels.nccf(ext, PITCH_WINDOW, LAG_MAX + 1)
 
 
 def test_candidates_match_per_frame_loop():
@@ -95,7 +94,7 @@ def test_candidates_match_per_frame_loop():
         _nccf_rows(0.1 * rng.normal(size=SR // 4)),
     ]
     r = np.concatenate(rows)
-    log2f, merit, valid = _candidates(r, LAG_MIN, LAG_MAX, SR)
+    log2f, merit, valid = _candidates(r)
     log2f_ref, merit_ref, valid_ref = pitch_candidates_loop(r, LAG_MIN, LAG_MAX, SR)
     np.testing.assert_array_equal(valid, valid_ref)
     np.testing.assert_allclose(log2f, log2f_ref, rtol=0, atol=1e-12)
@@ -114,7 +113,7 @@ def test_pitch_matches_per_frame_pipeline(kind):
         "noise": 0.3 * rng.normal(size=SR // 2),
         "tone_in_silence": np.concatenate([np.zeros(3000), sine(240, duration=0.4), np.zeros(3000)]),
     }[kind]
-    buf = AudioBuffer(x, SR)
+    buf = AudioBuffer(x)
     pitch, voicing = extract_pitch_voicing(buf)
     r = _nccf_rows(buf.samples)
     log2f, merit, valid = pitch_candidates_loop(r, LAG_MIN, LAG_MAX, SR)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from ddsd.dsp import AudioBuffer, extract_jitter_shimmer, extract_pitch_voicing
-from ddsd.dsp.audio import PITCH_WINDOW_S, frame_centers
+from ddsd.dsp.audio import HOP, PITCH_WINDOW, frame_centers
 from ddsd.dsp.voicequality import _windowed_variation
 from oracles import cycle_peaks_loops, jitter_shimmer_loop, relative_variation, voiced_regions_loop
 from signals import SR, am_tone, gaussian_pulse_train
 
-HOP = 160
-HALF = int(round(PITCH_WINDOW_S * SR)) // 2
+HALF = PITCH_WINDOW // 2
 
 
 def _tracks(x):
-    buf = AudioBuffer(x, SR)
+    buf = AudioBuffer(x)
     pitch, _ = extract_pitch_voicing(buf)
     jitter, shimmer = extract_jitter_shimmer(buf, pitch)
     return pitch, jitter, shimmer
@@ -94,19 +93,19 @@ def test_windows_match_per_frame_loop(case):
     rng = np.random.default_rng(5)
     if case == "tracked":
         x = _jittery_pulses(rng)
-        pitch = extract_pitch_voicing(AudioBuffer(x, SR))[0]
+        pitch = extract_pitch_voicing(AudioBuffer(x))[0]
     elif case == "patchy":
         x = _jittery_pulses(rng)
-        pitch = _patchy_pitch(rng, frame_centers(x.shape[0], SR).shape[0])
+        pitch = _patchy_pitch(rng, frame_centers(x.shape[0]).shape[0])
     elif case == "silence_gap":
         x = np.concatenate([_jittery_pulses(rng, 40), np.zeros(SR // 4), _jittery_pulses(rng, 40)])
-        pitch = np.where(rng.random(frame_centers(x.shape[0], SR).shape[0]) < 0.8, 140.0, 0.0)
+        pitch = np.where(rng.random(frame_centers(x.shape[0]).shape[0]) < 0.8, 140.0, 0.0)
     else:
         x = am_tone(200.0, depth=0.10) + 0.01 * rng.normal(size=SR)
-        pitch = extract_pitch_voicing(AudioBuffer(x, SR))[0]
-    buf = AudioBuffer(x, SR)
+        pitch = extract_pitch_voicing(AudioBuffer(x))[0]
+    buf = AudioBuffer(x)
     jitter, shimmer = extract_jitter_shimmer(buf, pitch)
-    centers = frame_centers(buf.samples.shape[0], SR)
+    centers = frame_centers(buf.samples.shape[0])
     jitter_ref, shimmer_ref = jitter_shimmer_loop(buf.samples, centers, HALF, HOP, SR, pitch)
     np.testing.assert_allclose(jitter, jitter_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(shimmer, shimmer_ref, rtol=0, atol=1e-12)
@@ -115,8 +114,8 @@ def test_windows_match_per_frame_loop(case):
 
 def test_patchy_case_covers_edges_and_short_regions():
     rng = np.random.default_rng(5)
-    x = AudioBuffer(_jittery_pulses(rng), SR).samples
-    centers = frame_centers(x.shape[0], SR)
+    x = AudioBuffer(_jittery_pulses(rng)).samples
+    centers = frame_centers(x.shape[0])
     pitch = _patchy_pitch(rng, centers.shape[0])
     periods = np.where(pitch > 0, SR / np.where(pitch > 0, pitch, 1.0), 0.0)
     regions = voiced_regions_loop(pitch > 0)

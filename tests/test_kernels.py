@@ -29,14 +29,13 @@ def test_hmm_posterior_tracks_sustained_segments():
 
 
 def test_nccf_finds_tone_period():
-    sr = 16000
-    t = np.arange(2000) / sr
+    t = np.arange(2000) / SR
     x = np.sin(2 * np.pi * 200 * t)
     win, lag_max = 640, 270
     ext = x[: win + lag_max][None, :]
     r = kernels.nccf(ext, win, lag_max)
     lag = np.argmax(r[0, 40:]) + 40
-    assert abs(sr / lag - 200.0) / 200.0 < 0.02
+    assert abs(SR / lag - 200.0) / 200.0 < 0.02
 
 
 def test_nccf_matches_direct_products_and_stays_in_range():

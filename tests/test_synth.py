@@ -16,7 +16,8 @@ def _tree_digest(root):
         for name in sorted(filenames):
             p = os.path.join(dirpath, name)
             h.update(os.path.relpath(p, root).encode())
-            h.update(open(p, "rb").read())
+            with open(p, "rb") as f:
+                h.update(f.read())
     return h.hexdigest()
 
 

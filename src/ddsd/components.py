@@ -7,6 +7,10 @@ The acoustic/text/asr models are lightweight stand-ins that honor the same
 interface contract: a directedness score plus a fixed-size embedding
 (256 / 128 / 16). In every component model the embedding is the output of
 layer 0.
+
+This module owns the directedness file: ``write_directedness_records``
+writes it, for exported outputs and for corrupted sets alike, and
+``ingest_precomputed`` reads it.
 """
 
 import os
@@ -18,6 +22,7 @@ import numpy as np
 from .data.manifest import by_split
 from .data.records import Record, read_records, read_single, write_records
 from .errors import DataError
+from .fusion import EMBEDDING_SENTINEL, SCORE_SENTINEL, EmbeddingSet, FusionSample, ScoreSet
 from .metrics import compute_eer
 from .modalities import EMBEDDING_DIMS, MODALITIES
 from .nn import (
@@ -65,19 +70,17 @@ class ComponentModel:
         return EMBEDDING_DIMS[self.modality]
 
     def save(self, path):
-        self.graph.meta = {"type": "component", "modality": self.modality}
-        self.graph.extras = {}
+        extras = {}
         if self.standardizer is not None:
-            self.graph.extras["standardizer_mean"] = self.standardizer.mean
-            self.graph.extras["standardizer_std"] = self.standardizer.std
-        self.graph.save(path)
+            extras = {"standardizer_mean": self.standardizer.mean, "standardizer_std": self.standardizer.std}
+        self.graph.save(path, {"type": "component", "modality": self.modality}, extras)
 
     @classmethod
     def load(cls, path):
-        graph = ModelGraph.load(path)
-        if graph.meta.get("type") != "component":
+        graph, meta, extras = ModelGraph.load(path)
+        if meta.get("type") != "component":
             raise DataError(f"{path}: not a component model file")
-        modality = graph.meta.get("modality")
+        modality = meta.get("modality")
         if modality not in MODALITIES:
             raise DataError(f"{path}: bad component modality {modality!r}")
         first = graph.layers[0].descriptor() if graph.layers else {}
@@ -88,22 +91,22 @@ class ComponentModel:
                 f"{EMBEDDING_DIMS[modality]}"
             )
         std = None
-        if graph.extras:
+        if extras:
             nin = first["nin"]  # layer 0 is a Dense or a GRU: only they have these widths
-            shapes = {name: arr.shape for name, arr in graph.extras.items()}
+            shapes = {name: arr.shape for name, arr in extras.items()}
             if shapes != {"standardizer_mean": (nin,), "standardizer_std": (nin,)}:
                 raise DataError(f"{path}: standardizer does not match the {nin} input features of layer 0")
-            std = Standardizer(mean=graph.extras["standardizer_mean"], std=graph.extras["standardizer_std"])
+            std = Standardizer(mean=extras["standardizer_mean"], std=extras["standardizer_std"])
         return cls(modality=modality, graph=graph, standardizer=std)
 
 
-# layers from the features up to the sigmoid head; layer 0 outputs the embedding
+# layers from the features up to the sigmoid head; layer 0 outputs the embedding, d wide
 _BODIES = {
-    "acoustic": lambda rng: [GRU(40, 256, rng=rng)],
-    "text": lambda rng: [Dense(TEXT_BAG_DIM, 128, "relu", rng=rng)],
-    "asr": lambda rng: [Dense(8, 16, "relu", rng=rng)],
+    "acoustic": lambda rng, d: [GRU(40, d, rng=rng)],
+    "text": lambda rng, d: [Dense(TEXT_BAG_DIM, d, "relu", rng=rng)],
+    "asr": lambda rng, d: [Dense(8, d, "relu", rng=rng)],
     # the paper's prosody model: ~50K parameters, GRU -> layer norm -> dropout -> head
-    "prosody": lambda rng: [GRU(5, 128, rng=rng), LayerNorm(128), Dropout(0.2)],
+    "prosody": lambda rng, d: [GRU(5, d, rng=rng), LayerNorm(d), Dropout(0.2)],
 }
 
 
@@ -111,7 +114,8 @@ def build_component(modality, seed=0):
     if modality not in _BODIES:
         raise DataError(f"no component model for modality {modality!r}")
     rng = np.random.default_rng(seed)
-    layers = _BODIES[modality](rng) + [Dense(EMBEDDING_DIMS[modality], 1, "sigmoid", rng=rng)]
+    d = EMBEDDING_DIMS[modality]
+    layers = _BODIES[modality](rng, d) + [Dense(d, 1, "sigmoid", rng=rng)]
     return ComponentModel(modality=modality, graph=ModelGraph(layers))
 
 
@@ -196,77 +200,87 @@ def infer_component_batch(model, features_list):
     return predict(model.graph, _model_inputs(model, features_list), tap=0)
 
 
-def export_directedness(models, utts, base_dir, out_dir):
-    """Run every model over the utterances; write score+embedding records.
-
-    One record file per utterance holding a score and an embedding record
-    per modality. Returns the updated utterance list (feature_paths gains a
-    "directedness" entry relative to base_dir).
-    """
+def write_directedness_records(samples, utts_by_id, base_dir, out_dir):
+    """Serialize samples back to record files; sentinels written verbatim."""
     os.makedirs(os.path.join(base_dir, out_dir), exist_ok=True)
-    per_modality = {}
-    for modality, model in models.items():
-        feats = [load_features(modality, u, base_dir) for u in utts]
-        per_modality[modality] = infer_component_batch(model, feats)
-
-    for i, u in enumerate(utts):
+    for sample in samples:
         records = []
-        for modality in MODALITIES:
-            if modality not in per_modality:
-                continue
-            scores, embeddings = per_modality[modality]
-            records.append(Record(u.utterance_id, modality, "score", True, np.array([scores[i]])))
-            records.append(Record(u.utterance_id, modality, "embedding", True, embeddings[i]))
-        rel = os.path.join(out_dir, f"{u.utterance_id}.dir.rec")
+        for m in MODALITIES:
+            if m in sample.scores.scores:
+                present = sample.scores.present(m)
+                value = sample.scores.scores[m] if present else SCORE_SENTINEL
+                records.append(Record(sample.utterance_id, m, "score", present, np.array([value])))
+            if m in sample.embeddings.embeddings:
+                present = sample.embeddings.present(m)
+                if present:
+                    payload = sample.embeddings.embeddings[m]
+                else:
+                    payload = np.full(EMBEDDING_DIMS[m], EMBEDDING_SENTINEL)
+                records.append(Record(sample.utterance_id, m, "embedding", present, payload))
+        rel = os.path.join(out_dir, f"{sample.utterance_id}.dir.rec")
         write_records(os.path.join(base_dir, rel), records)
+        u = utts_by_id[sample.utterance_id]
         u.feature_paths = dict(u.feature_paths)
         u.feature_paths["directedness"] = rel
+
+
+def export_directedness(models, utts, base_dir, out_dir):
+    """Run every model over the utterances and write their directedness files.
+
+    Each utterance's file holds a score and an embedding record per model's
+    modality (see write_directedness_records). Returns the utterance list,
+    whose feature_paths gain a "directedness" entry relative to base_dir.
+    """
+    outputs = {}
+    for modality, model in models.items():
+        outputs[modality] = infer_component_batch(model, [load_features(modality, u, base_dir) for u in utts])
+    samples = [
+        FusionSample(
+            utterance_id=u.utterance_id,
+            label=u.label_int(),
+            scores=ScoreSet({m: float(scores[i]) for m, (scores, _) in outputs.items()}),
+            embeddings=EmbeddingSet({m: embeddings[i] for m, (_, embeddings) in outputs.items()}),
+        )
+        for i, u in enumerate(utts)
+    ]
+    write_directedness_records(samples, {u.utterance_id: u for u in utts}, base_dir, out_dir)
     return utts
 
 
 def ingest_precomputed(utts, base_dir):
-    """Read exported score/embedding records into FusionSamples.
+    """Read each utterance's directedness file into a FusionSample.
 
     Each embedding is the record's float32 payload as decoded, not a float64
     copy: every float32 value is exact in float64, and the network widens
     each batch when it reads it, so a wider copy would only take memory.
-    Dimension mismatches and a second record of one (modality, kind) are
-    rejected with the offending utterance id.
+    A record of another utterance, of a kind other than score or embedding,
+    of a (modality, kind) already read, or of the wrong shape raises
+    DataError naming the utterance.
     """
-    from .fusion import EmbeddingSet, FusionSample, ScoreSet
-
     samples = []
     for u in utts:
         if "directedness" not in u.feature_paths:
             raise DataError(f"{u.utterance_id}: no directedness records in manifest")
-        recs = read_records(os.path.join(base_dir, u.feature_paths["directedness"]))
-        scores = {}
-        embeddings = {}
-        seen = set()
-        for rec in recs:
+        read = {"score": {}, "embedding": {}}
+        for rec in read_records(os.path.join(base_dir, u.feature_paths["directedness"])):
             if rec.utterance_id != u.utterance_id:
                 raise DataError(f"{u.utterance_id}: record belongs to {rec.utterance_id}")
-            if (rec.modality, rec.kind) in seen:
+            if rec.kind not in read:
+                raise DataError(f"{u.utterance_id}: {rec.modality} {rec.kind} record in a directedness file")
+            if rec.modality in read[rec.kind]:
                 raise DataError(f"{u.utterance_id}: second {rec.modality} {rec.kind} record")
-            seen.add((rec.modality, rec.kind))
-            if rec.kind == "score":
-                if rec.payload.shape != (1,):
-                    raise DataError(f"{u.utterance_id}: {rec.modality} score must be scalar")
-                scores[rec.modality] = float(rec.payload[0]) if rec.present else None
-            elif rec.kind == "embedding":
-                want = EMBEDDING_DIMS[rec.modality]
-                if rec.payload.shape != (want,):
-                    raise DataError(
-                        f"{u.utterance_id}: {rec.modality} embedding has shape "
-                        f"{tuple(rec.payload.shape)}, expected ({want},)"
-                    )
-                embeddings[rec.modality] = rec.payload if rec.present else None
+            want = (1,) if rec.kind == "score" else (EMBEDDING_DIMS[rec.modality],)
+            if rec.payload.shape != want:
+                shape = rec.payload.shape
+                raise DataError(f"{u.utterance_id}: {rec.modality} {rec.kind} has shape {shape}, expected {want}")
+            read[rec.kind][rec.modality] = rec.payload if rec.present else None
+        scores = {m: None if v is None else float(v[0]) for m, v in read["score"].items()}
         samples.append(
             FusionSample(
                 utterance_id=u.utterance_id,
                 label=u.label_int(),
                 scores=ScoreSet(scores),
-                embeddings=EmbeddingSet(embeddings),
+                embeddings=EmbeddingSet(read["embedding"]),
             )
         )
     return samples

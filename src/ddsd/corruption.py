@@ -1,85 +1,40 @@
 """Missing-modality corruption protocol for robustness evaluation.
 
 For every utterance and modality independently, with the given probability,
-the modality is marked absent; its serialized form becomes the sentinel
-encoding (score -1, embedding filled with -99999).
+a modality the sample holds is marked absent: its score and its embedding
+become None in memory. The directedness file that stores a corrupted set,
+with the sentinel payloads of absent modalities, belongs to ``components``.
 """
-
-import os
 
 import numpy as np
 
-from .data.records import Record, write_records
+from .components import write_directedness_records  # re-exported: perfbench/workloads.py imports it here
+from .data.records import write_records  # not called here; perfbench/probes.py wraps corruption.write_records
 from .errors import DataError
-from .fusion import (
-    EMBEDDING_SENTINEL,
-    SCORE_SENTINEL,
-    EmbeddingSet,
-    FusionSample,
-    ScoreSet,
-)
-from .modalities import EMBEDDING_DIMS, MODALITIES
+from .fusion import EmbeddingSet, FusionSample, ScoreSet
+from .modalities import MODALITIES
 
 
 def corrupt_missing(samples, rate=0.30, seed=0):
     """(corrupted samples, realized per-modality drop rates).
 
     Deterministic per seed: one Bernoulli draw per (utterance, modality) in
-    canonical order.
+    canonical order. A modality a sample does not hold is never dropped from
+    it and does not count towards its realized rate. The input samples are
+    left as they were.
     """
     if not 0.0 <= rate < 1.0:
         raise DataError("corruption rate must be in [0, 1)")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((len(samples), len(MODALITIES))) < rate
-
-    dropped = {m: 0 for m in MODALITIES}
-    eligible = {m: 0 for m in MODALITIES}
+    draws = np.random.default_rng(seed).random((len(samples), len(MODALITIES))) < rate
+    held = [[m in s.scores.scores or m in s.embeddings.embeddings for m in MODALITIES] for s in samples]
+    known = np.array(held, dtype=bool).reshape(draws.shape)
+    drop = draws & known
     out = []
-    for i, sample in enumerate(samples):
-        scores = dict(sample.scores.scores)
-        embeddings = dict(sample.embeddings.embeddings)
-        for j, m in enumerate(MODALITIES):
-            known = m in scores or m in embeddings
-            if not known:
-                continue
-            eligible[m] += 1
-            if draws[i, j]:
-                dropped[m] += 1
-                if m in scores:
-                    scores[m] = None
-                if m in embeddings:
-                    embeddings[m] = None
-        out.append(
-            FusionSample(
-                utterance_id=sample.utterance_id,
-                label=sample.label,
-                scores=ScoreSet(scores),
-                embeddings=EmbeddingSet(embeddings),
-            )
-        )
-    realized = {m: (dropped[m] / eligible[m] if eligible[m] else 0.0) for m in MODALITIES}
+    for s, row in zip(samples, drop.tolist()):
+        gone = {m for m, d in zip(MODALITIES, row) if d}
+        scores = {m: None if m in gone else v for m, v in s.scores.scores.items()}
+        embeddings = {m: None if m in gone else v for m, v in s.embeddings.embeddings.items()}
+        out.append(FusionSample(s.utterance_id, s.label, ScoreSet(scores), EmbeddingSet(embeddings)))
+    dropped, eligible = drop.sum(axis=0), known.sum(axis=0)
+    realized = {m: float(dropped[j] / eligible[j]) if eligible[j] else 0.0 for j, m in enumerate(MODALITIES)}
     return out, realized
-
-
-def write_directedness_records(samples, utts_by_id, base_dir, out_dir):
-    """Serialize samples back to record files; sentinels written verbatim."""
-    os.makedirs(os.path.join(base_dir, out_dir), exist_ok=True)
-    for sample in samples:
-        records = []
-        for m in MODALITIES:
-            if m in sample.scores.scores:
-                present = sample.scores.present(m)
-                value = sample.scores.scores[m] if present else SCORE_SENTINEL
-                records.append(Record(sample.utterance_id, m, "score", present, np.array([value])))
-            if m in sample.embeddings.embeddings:
-                present = sample.embeddings.present(m)
-                if present:
-                    payload = sample.embeddings.embeddings[m]
-                else:
-                    payload = np.full(EMBEDDING_DIMS[m], EMBEDDING_SENTINEL)
-                records.append(Record(sample.utterance_id, m, "embedding", present, payload))
-        rel = os.path.join(out_dir, f"{sample.utterance_id}.dir.rec")
-        write_records(os.path.join(base_dir, rel), records)
-        u = utts_by_id[sample.utterance_id]
-        u.feature_paths = dict(u.feature_paths)
-        u.feature_paths["directedness"] = rel

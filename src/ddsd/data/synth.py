@@ -24,7 +24,7 @@ from ..modalities import MODALITIES
 from ..nn.layers import sigmoid
 from .manifest import Utterance, write_manifest
 from .records import Record, write_records
-from ..dsp.audio import SAMPLE_RATE, write_wav
+from ..dsp.audio import HOP, SAMPLE_RATE, write_wav
 
 # one tenth of the reference corpus counts (directed, not-directed)
 BASE_COUNTS = {
@@ -79,7 +79,6 @@ class SynthConfig:
 
 def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base):
     """One utterance of harmonic 'speech' segments separated by pauses."""
-    hop = int(round(0.01 * SAMPLE_RATE))
     duration = rng.uniform(0.6, 0.9) + 0.5 * quality
     n = int(duration * SAMPLE_RATE)
 
@@ -96,17 +95,17 @@ def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base):
 
     x = np.zeros(n)
     pos = int(rng.uniform(0.0, 0.05) * SAMPLE_RATE)
-    while pos < n - hop:
+    while pos < n - HOP:
         seg_len = int(rng.uniform(0.15, 0.40) * SAMPLE_RATE)
         seg_len = min(seg_len, n - pos)
-        if seg_len > 4 * hop:
-            n_fr = seg_len // hop + 1
+        if seg_len > 4 * HOP:
+            n_fr = seg_len // HOP + 1
             slow = np.empty(n_fr)
             slow[0] = rng.normal(0.0, wobble)
             for k in range(1, n_fr):
                 slow[k] = 0.97 * slow[k - 1] + wobble * rng.normal()
             lf = np.log(f0_base) + slow + fast_jitter * rng.normal(size=n_fr)
-            f0 = np.repeat(np.exp(lf), hop)[:seg_len]
+            f0 = np.repeat(np.exp(lf), HOP)[:seg_len]
             phase = np.cumsum(2.0 * np.pi * f0 / SAMPLE_RATE)
 
             seg = np.zeros(seg_len)
@@ -117,7 +116,7 @@ def synth_audio(rng, trait_prosody, trait_acoustic, quality, f0_base):
                 seg += amp * np.sin(k * phase)
 
             gain = 1.0 + shimmer_amt * rng.normal(size=n_fr)
-            seg *= np.repeat(np.clip(gain, 0.4, 1.6), hop)[:seg_len]
+            seg *= np.repeat(np.clip(gain, 0.4, 1.6), HOP)[:seg_len]
             edge = min(int(0.015 * SAMPLE_RATE), seg_len // 2)
             ramp = np.hanning(2 * edge)
             seg[:edge] *= ramp[:edge]

@@ -50,11 +50,16 @@ class AudioBuffer:
 
 
 def read_wav(path):
-    """Load a 16 kHz mono 16-bit PCM WAV; any other or cut file raises DataError."""
+    """Load a 16 kHz mono 16-bit PCM WAV; any other or cut file raises DataError.
+
+    A WAV holding a chunk other than fmt, fact, data, LIST or JUNK is outside
+    this contract and raises DataError too.
+    """
     try:
         with warnings.catch_warnings():
-            # wavfile returns the samples before the cut of a truncated data chunk
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            # wavfile only warns, and returns what it read, at a premature EOF, a cut chunk id or an
+            # unknown chunk; a corrupt data-chunk size leaves a short data chunk and an unknown one
+            warnings.simplefilter("error", wavfile.WavFileWarning)
             sr, data = wavfile.read(path)
     # some corrupt headers make wavfile itself fail with ZeroDivisionError or UnboundLocalError
     except (ValueError, struct.error, ZeroDivisionError, UnboundLocalError, wavfile.WavFileWarning) as e:

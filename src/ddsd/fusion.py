@@ -112,17 +112,16 @@ class FusionModel:
 
     def save(self, path):
         graph = self.graph if self.graph is not None else ModelGraph([])
-        graph.meta = {"type": "fusion", "kind": self.kind, "modalities": list(self.modalities)}
-        graph.save(path)
+        graph.save(path, {"type": "fusion", "kind": self.kind, "modalities": list(self.modalities)})
 
     @classmethod
     def load(cls, path):
-        graph = ModelGraph.load(path)
-        if graph.meta.get("type") != "fusion":
+        graph, meta, _ = ModelGraph.load(path)
+        if meta.get("type") != "fusion":
             raise DataError(f"{path}: not a fusion model file")
         try:
-            kind = graph.meta["kind"]
-            modalities = check_modalities(graph.meta["modalities"])
+            kind = meta["kind"]
+            modalities = check_modalities(meta["modalities"])
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: bad fusion model metadata: {e!r}") from None
         if kind not in FUSION_KINDS:

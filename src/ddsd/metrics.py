@@ -67,10 +67,8 @@ def compute_fa_at_fr(scores, labels, fr_target=FR_TARGET_DEFAULT):
     whose FR does not exceed the target.
     """
     thresholds, fr, fa = det_curve(scores, labels)
-    if fr_target >= 1.0:
-        return 100.0 * fa[-1], float(thresholds[-1])
     i = int(np.searchsorted(fr, fr_target, side="right")) - 1  # last fr[i] <= target
-    if i >= len(fr) - 1:
+    if i >= len(fr) - 1:  # fr ends at 1.0, so every target of 1 or more lands here
         return 100.0 * fa[-1], float(thresholds[-1])
     lam = (fr_target - fr[i]) / (fr[i + 1] - fr[i])
     fa_val = fa[i] + lam * (fa[i + 1] - fa[i])

@@ -36,10 +36,8 @@ def _walk(layers):
 class ModelGraph:
     """Ordered layer stack with shared forward context and recorded backward."""
 
-    def __init__(self, layers, meta=None):
+    def __init__(self, layers):
         self.layers = list(layers)
-        self.meta = dict(meta or {})
-        self.extras = {}
 
     # -- forward / backward -------------------------------------------------
 
@@ -99,10 +97,11 @@ class ModelGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def save(self, path):
-        extras = sorted(self.extras.items())
+    def save(self, path, meta, extras=None):
+        """Write the graph with the metadata dict and the named extra arrays; the graph is not changed."""
+        extras = sorted((extras or {}).items())
         header = {
-            "meta": self.meta,
+            "meta": meta,
             "layers": [l.descriptor() for l in self.layers],
             "extras": [[name, list(arr.shape)] for name, arr in extras],
         }
@@ -118,6 +117,7 @@ class ModelGraph:
 
     @classmethod
     def load(cls, path):
+        """(graph, metadata dict, extras dict of float64 arrays) from a file that save wrote."""
         with open(path, "rb") as f:
             raw = f.read()
         if raw[:8] != MAGIC:
@@ -139,7 +139,8 @@ class ModelGraph:
     def _from_header(cls, path, raw, hlen):
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
         layers = [layer_from_descriptor(d, None) for d in header["layers"]]
-        graph = cls(layers, meta=header["meta"])
+        graph = cls(layers)
+        meta = dict(header["meta"] or {})
         extras = [(name, tuple(shape)) for name, shape in header["extras"]]
         if len(dict(extras)) != len(extras) or any(d < 0 for _, shape in extras for d in shape):
             raise DataError(f"{path}: extras names repeat or shapes are negative")
@@ -155,7 +156,8 @@ class ModelGraph:
             param = layer.params[key]
             param[...] = values[pos : pos + param.size].reshape(param.shape)
             pos += param.size
+        arrays = {}
         for (name, shape), size in zip(extras, sizes):
-            graph.extras[name] = values[pos : pos + size].reshape(shape).copy()
+            arrays[name] = values[pos : pos + size].reshape(shape).copy()
             pos += size
-        return graph
+        return graph, meta, arrays

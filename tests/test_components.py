@@ -1,4 +1,7 @@
+import itertools
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from ddsd.components import (
     load_features,
     text_trigram_bag,
     train_component,
+    write_directedness_records,
 )
 from ddsd.data import read_manifest, by_split
 from ddsd.data.manifest import Utterance
 from ddsd.data.records import Record, write_records
 from ddsd.errors import DataError
+from ddsd.fusion import EmbeddingSet, FusionSample, ScoreSet
 from ddsd.modalities import EMBEDDING_DIMS, MODALITIES
 from ddsd.nn import GRU, Context, TrainConfig
 
@@ -209,6 +214,50 @@ def test_export_and_ingest_round_trip(trained_tiny, tmp_path):
         assert s.scores.present("prosody")
 
 
+def test_export_writes_what_the_writer_writes_for_the_ingested_outputs(trained_tiny):
+    # float64 model outputs and their float32 read-back encode to the same bytes
+    base = trained_tiny["base"]
+
+    def files(utts):
+        return [Path(base, u.feature_paths["directedness"]).read_bytes() for u in utts]
+
+    utts = [replace(u) for u in by_split(trained_tiny["utts"], "test")[:6]]
+    want = files(export_directedness(trained_tiny["models"], utts, base, "export-a"))
+    write_directedness_records(ingest_precomputed(utts, base), {u.utterance_id: u for u in utts}, base, "export-b")
+    assert [os.path.dirname(u.feature_paths["directedness"]) for u in utts] == ["export-b"] * len(utts)
+    assert files(utts) == want
+
+
+@pytest.mark.parametrize("absent_as", ["none", "missing key"])
+def test_written_samples_ingest_unchanged_for_every_absence_subset(tmp_path, absent_as):
+    rng = np.random.default_rng(21)
+    subsets = [c for k in range(len(MODALITIES) + 1) for c in itertools.combinations(MODALITIES, k)]
+    samples = []
+    for i, absent in enumerate(subsets):
+        scores = {m: float(rng.uniform()) for m in MODALITIES}
+        embeddings = {m: rng.normal(size=EMBEDDING_DIMS[m]) for m in MODALITIES}
+        for m in absent:
+            if absent_as == "none":
+                scores[m] = embeddings[m] = None
+            else:
+                del scores[m], embeddings[m]
+        samples.append(FusionSample(f"u{i}", i % 2, ScoreSet(scores), EmbeddingSet(embeddings)))
+    utts = [Utterance(s.utterance_id, ("not-directed", "directed")[s.label], "test") for s in samples]
+    write_directedness_records(samples, {u.utterance_id: u for u in utts}, str(tmp_path), "dir")
+    got = ingest_precomputed(utts, str(tmp_path))
+    for g, w in zip(got, samples, strict=True):
+        assert (g.utterance_id, g.label) == (w.utterance_id, w.label)
+        assert list(g.scores.scores) == list(w.scores.scores)
+        assert list(g.embeddings.embeddings) == list(w.embeddings.embeddings)
+        for m, value in w.scores.scores.items():
+            assert g.scores.scores[m] == (None if value is None else float(np.float32(value)))
+        for m, value in w.embeddings.embeddings.items():
+            if value is None:
+                assert g.embeddings.embeddings[m] is None
+            else:
+                np.testing.assert_array_equal(g.embeddings.embeddings[m], value.astype(np.float32))
+
+
 def test_ingest_rejects_bad_dims(trained_tiny, tmp_path):
     import os
 
@@ -265,6 +314,16 @@ def test_ingest_rejects_a_second_record_of_one_modality_and_kind(tmp_path, kind)
     ]
     with pytest.raises(DataError, match=f"u7: second asr {kind} record"):
         ingest_precomputed([_directedness_utterance(tmp_path, "u7", recs)], str(tmp_path))
+
+
+@pytest.mark.parametrize("record", [
+    Record("u8", "prosody", "features", True, np.zeros((4, 5))),
+    Record("u8", "asr", "score", True, np.array([0.5, 0.5])),
+])
+def test_ingest_rejects_a_record_a_directedness_file_cannot_hold(tmp_path, record):
+    recs = [Record("u8", "asr", "embedding", True, np.zeros(EMBEDDING_DIMS["asr"])), record]
+    with pytest.raises(DataError, match="u8: "):
+        ingest_precomputed([_directedness_utterance(tmp_path, "u8", recs)], str(tmp_path))
 
 
 def test_unknown_modality_rejected():

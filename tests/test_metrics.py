@@ -132,3 +132,13 @@ def test_eval_report_write(tmp_path):
         rows = list(_csv.reader(f))
     assert rows[0] == ["threshold", "FR%", "FA%"]
     assert len(rows) == len(report.det_points) + 1
+
+
+@pytest.mark.parametrize("fr_target", [1.0, 1.5])
+def test_fa_at_fr_of_one_or_more_rejects_everything(fr_target):
+    rng = np.random.default_rng(17)
+    scores = rng.random(40)
+    labels = (rng.random(40) < 0.4).astype(int)
+    fa, thr = compute_fa_at_fr(scores, labels, fr_target)
+    assert fa == 0.0
+    assert thr == np.nextafter(scores.max(), np.inf)  # just above the top score

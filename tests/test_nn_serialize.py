@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from ddsd.components import Standardizer, build_component
 from ddsd.errors import DataError
+from ddsd.fusion import build_fusion
 from ddsd.nn import Branches, Dense, Dropout, GRU, LayerNorm, ModelGraph
+
+META = {"type": "demo", "note": "round-trip"}
 
 
 def _demo_graph():
@@ -14,16 +18,15 @@ def _demo_graph():
             Dropout(0.2),
             Dense(8, 1, "sigmoid", rng=rng),
         ],
-        meta={"type": "demo", "note": "round-trip"},
     )
 
 
 def test_round_trip_bit_exact_forward(tmp_path):
     graph = _demo_graph()
-    graph.extras["mean"] = np.linspace(-1, 1, 5)
+    mean = np.linspace(-1, 1, 5)
     path = tmp_path / "model.ddm"
-    graph.save(path)
-    loaded = ModelGraph.load(path)
+    graph.save(path, META, {"mean": mean})
+    loaded, meta, extras = ModelGraph.load(path)
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 6, 5))
@@ -31,16 +34,17 @@ def test_round_trip_bit_exact_forward(tmp_path):
     a = graph.forward(x, lengths=lengths)
     b = loaded.forward(x, lengths=lengths)
     np.testing.assert_array_equal(a, b)  # bit-identical
-    np.testing.assert_array_equal(loaded.extras["mean"], graph.extras["mean"])
-    assert loaded.meta == graph.meta
+    np.testing.assert_array_equal(extras["mean"], mean)
+    assert meta == META
 
 
 def test_save_load_save_identical_bytes(tmp_path):
     graph = _demo_graph()
     p1 = tmp_path / "a.ddm"
     p2 = tmp_path / "b.ddm"
-    graph.save(p1)
-    ModelGraph.load(p1).save(p2)
+    graph.save(p1, META, {"mean": np.linspace(-1, 1, 5)})
+    loaded, meta, extras = ModelGraph.load(p1)
+    loaded.save(p2, meta, extras)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -53,8 +57,8 @@ def test_branches_round_trip(tmp_path):
         ]
     )
     path = tmp_path / "fusion.ddm"
-    graph.save(path)
-    loaded = ModelGraph.load(path)
+    graph.save(path, {})
+    loaded, _, _ = ModelGraph.load(path)
     x = rng.normal(size=(4, 2))
     np.testing.assert_array_equal(graph.forward(x), loaded.forward(x))
 
@@ -69,7 +73,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_model_rejected(tmp_path):
     graph = _demo_graph()
     path = tmp_path / "model.ddm"
-    graph.save(path)
+    graph.save(path, META)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 17])
     with pytest.raises(DataError, match="truncated"):
@@ -82,3 +86,12 @@ def test_parameter_count():
     graph = ModelGraph([GRU(5, 128, rng=rng), LayerNorm(128), Dropout(0.2), Dense(128, 1, "sigmoid", rng=rng)])
     assert graph.num_params() == 3 * (5 * 128 + 128 * 128 + 128) + 2 * 128 + 129
     assert graph.num_params() == 51841
+
+
+def test_saving_leaves_the_model_unchanged(tmp_path):
+    component = build_component("asr", seed=1)
+    component.standardizer = Standardizer(mean=np.zeros(8), std=np.ones(8))
+    for model in (component, build_component("prosody"), build_fusion("EL", ("asr", "text"))):
+        before = dict(vars(model.graph))
+        model.save(tmp_path / "m.ddm")
+        assert vars(model.graph) == before

@@ -8,6 +8,13 @@ interface contract: a directedness score plus a fixed-size embedding
 (256 / 128 / 16). In every component model the embedding is the output of
 layer 0.
 
+Component nets compute in float32: ``build_component`` draws the Glorot
+weights in float64 and casts them once, and ``ComponentModel.load`` casts the
+float64 blobs back. Features load and standardize in float64, and the graph
+casts each batch to float32. Fusion nets stay float64 until the benchmark
+reports per-repetition failure counts (ROADMAP item 10a), since fusion's
+pooled failure share moves with its wall time.
+
 This module owns the directedness file: ``write_directedness_records``
 writes it, for exported outputs and for corrupted sets alike, and
 ``ingest_precomputed`` reads it.
@@ -97,7 +104,7 @@ class ComponentModel:
             if shapes != {"standardizer_mean": (nin,), "standardizer_std": (nin,)}:
                 raise DataError(f"{path}: standardizer does not match the {nin} input features of layer 0")
             std = Standardizer(mean=extras["standardizer_mean"], std=extras["standardizer_std"])
-        return cls(modality=modality, graph=graph, standardizer=std)
+        return cls(modality=modality, graph=graph.astype(np.float32), standardizer=std)
 
 
 # layers from the features up to the sigmoid head; layer 0 outputs the embedding, d wide
@@ -116,7 +123,7 @@ def build_component(modality, seed=0):
     rng = np.random.default_rng(seed)
     d = EMBEDDING_DIMS[modality]
     layers = _BODIES[modality](rng, d) + [Dense(d, 1, "sigmoid", rng=rng)]
-    return ComponentModel(modality=modality, graph=ModelGraph(layers))
+    return ComponentModel(modality=modality, graph=ModelGraph(layers).astype(np.float32))
 
 
 def text_trigram_bag(text):

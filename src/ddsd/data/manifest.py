@@ -1,7 +1,7 @@
 """Dataset manifests: one JSON object per line, one line per utterance."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 from ..errors import DataError
 
@@ -38,9 +38,10 @@ def validate_utterances(utts):
 
 def write_manifest(path, utts):
     validate_utterances(utts)
+    names = [f.name for f in fields(Utterance)]
     with open(path, "w") as f:
         for u in utts:
-            row = {k: v for k, v in asdict(u).items() if v not in (None, {})}
+            row = {name: value for name in names if (value := getattr(u, name)) not in (None, {})}
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 

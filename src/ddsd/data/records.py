@@ -41,21 +41,19 @@ class Record:
 def _pack_record(rec):
     ident = rec.utterance_id.encode("utf-8")
     shape = rec.payload.shape
-    parts = [
+    header = struct.pack(
+        f"<8sHH{len(ident)}sBBBB{len(shape)}I",
         MAGIC,
-        struct.pack("<HH", VERSION, len(ident)),
+        VERSION,
+        len(ident),
         ident,
-        struct.pack(
-            "<BBBB",
-            MODALITY_CODES[rec.modality],
-            KIND_CODES[rec.kind],
-            1 if rec.present else 0,
-            len(shape),
-        ),
-        struct.pack(f"<{len(shape)}I", *shape) if shape else b"",
-        np.ascontiguousarray(rec.payload, dtype="<f4").tobytes(),
-    ]
-    return b"".join(parts)
+        MODALITY_CODES[rec.modality],
+        KIND_CODES[rec.kind],
+        1 if rec.present else 0,
+        len(shape),
+        *shape,
+    )
+    return header + rec.payload.astype("<f4", copy=False).tobytes()
 
 
 def write_records(path, records):

@@ -5,9 +5,11 @@ JSON header (metadata, layer descriptors, extras names/shapes),
 then raw little-endian float64 blobs: every parameter in ``named_params``
 order, then the extras sorted by name. The layer descriptors fix every
 parameter's name and shape, so the header and the file length must agree
-to the byte. Round-trips are bit-exact. The loader allocates every layer
-with zero weights and overwrites them from the file; it ignores the
-``rng_seed`` key that older headers carry.
+to the byte. Every float32 value is exact in float64, so an f8 blob holds a
+float32 parameter exactly too, and round-trips are bit-exact once the
+caller casts the loaded graph back (``ModelGraph.astype``). The loader
+allocates every layer with zero float64 weights and overwrites them from
+the file; it ignores the ``rng_seed`` key that older headers carry.
 """
 
 import json
@@ -34,7 +36,11 @@ def _walk(layers):
 
 
 class ModelGraph:
-    """Ordered layer stack with shared forward context and recorded backward."""
+    """Ordered layer stack with shared forward context and recorded backward.
+
+    Every layer computes in the dtype of its parameters: the graph casts its
+    input and the output gradient to that dtype, and ``astype`` sets it.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -47,7 +53,7 @@ class ModelGraph:
 
     def forward_all(self, x, lengths=None, train=False, rng=None):
         """Run all layers; returns (output, per-layer outputs)."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite values in forward input")
         ctx = Context(train=train, lengths=lengths, rng=rng)
@@ -61,7 +67,7 @@ class ModelGraph:
         return x, acts
 
     def backward(self, dout):
-        d = np.asarray(dout, dtype=np.float64)
+        d = np.asarray(dout, dtype=self.dtype)
         for layer in reversed(self.layers):
             d = layer.backward(d)
         return d
@@ -72,6 +78,21 @@ class ModelGraph:
             vars(layer).pop("_cache", None)
 
     # -- parameter access ---------------------------------------------------
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters, and so of every activation and gradient; float64 without any."""
+        for _, layer in _walk(self.layers):
+            for param in layer.params.values():
+                return param.dtype
+        return np.dtype(np.float64)
+
+    def astype(self, dtype):
+        """Cast every parameter and its gradient buffer to dtype, in place; returns the graph."""
+        for _, layer in _walk(self.layers):
+            layer.params = {key: param.astype(dtype) for key, param in layer.params.items()}
+            layer._init_grads()
+        return self
 
     def named_params(self):
         """(name, params-dict, key) triples in a stable order."""

@@ -1,15 +1,16 @@
 """Layers with explicit forward/backward passes.
 
-Every layer owns its parameters and gradient buffers as plain float64
-numpy arrays, and one cache slot, ``_cache``. ``forward`` fills the slot with
-whatever ``backward`` needs; ``backward`` takes it, accumulates parameter
-gradients and returns the gradient with respect to its input. So each
-backward consumes one forward pass, and a second backward raises
-AttributeError. ``ModelGraph.drop_caches`` empties every slot, so a pass that
-never runs backward keeps nothing alive.
+Every layer owns its parameters and gradient buffers as numpy arrays of one
+float dtype, computes in that dtype, and has one cache slot, ``_cache``.
+``forward`` fills the slot with whatever ``backward`` needs; ``backward``
+takes it, accumulates parameter gradients and returns the gradient with
+respect to its input. So each backward consumes one forward pass, and a
+second backward raises AttributeError. ``ModelGraph.drop_caches`` empties
+every slot, so a pass that never runs backward keeps nothing alive.
 
-``Dense``, ``GRU`` and ``Branches`` draw Glorot weights from a required rng;
-``rng=None`` allocates zeros, for a model-file loader to overwrite.
+``Dense``, ``GRU`` and ``Branches`` draw float64 Glorot weights from a required
+rng; ``rng=None`` allocates zeros, for a model-file loader to overwrite.
+``ModelGraph.astype`` casts a whole graph to another dtype.
 """
 
 import numpy as np
@@ -61,7 +62,7 @@ class Layer:
         return cache
 
     def _init_grads(self):
-        self.grads = {k: np.zeros(v.shape) for k, v in self.params.items()}
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def zero_grads(self):
         for g in self.grads.values():
@@ -166,14 +167,15 @@ class GRU(Layer):
 
     Bits. With OpenBLAS 0.3.31 at the paper's shapes (inner dimensions 5, 40,
     128 and 256), a row of a product with at least two rows equals that row
-    of any taller product, in any row order. So the outputs are bit-identical
-    to stepping the whole padded batch through every step;
-    ``test_gru_matches_masked_oracle`` and
-    ``test_gru_output_does_not_depend_on_row_order`` pin this. It is a
-    property of the BLAS kernels, not a guarantee: an inner dimension of 512
-    changes the last bit below 16 rows. The gradients are not bit-identical:
-    the same terms are summed over fewer rows in another order, which moves
-    them in the last bits.
+    of any taller product, in any row order. This holds for dgemm, which
+    float64 parameters use, and for sgemm, which float32 parameters use. So
+    the outputs are bit-identical to stepping the whole padded batch through
+    every step; ``test_gru_matches_masked_oracle`` pins this in float64, and
+    ``test_gru_output_does_not_depend_on_row_order`` in both dtypes. It is a
+    property of the BLAS kernels, not a guarantee: in float64 an inner
+    dimension of 512 changes the last bit below 16 rows. The gradients are
+    not bit-identical: the same terms are summed over fewer rows in another
+    order, which moves them in the last bits.
     """
 
     def __init__(self, nin, nhidden, *, rng):
@@ -216,9 +218,9 @@ class GRU(Layer):
 
         gates_all = x[rows, cols] @ p["w_in"]
         gates_all += p["b"]
-        states = np.zeros((off[-1], nh))
-        out = np.zeros((nb, nh))
-        scratch = np.empty((2, nb, nh))
+        states = np.zeros((off[-1], nh), dtype=gates_all.dtype)
+        out = np.zeros((nb, nh), dtype=gates_all.dtype)
+        scratch = np.empty((2, nb, nh), dtype=gates_all.dtype)
 
         for t in range(nsteps):
             # step t turns its pre-activations into the gates z | r | c in place
@@ -267,7 +269,7 @@ class GRU(Layer):
         nb, nh = dy.shape
         p, g = self.params, self.grads
         dh_all = np.zeros_like(dy)
-        scratch = np.empty((2, nb, nh))
+        scratch = np.empty((2, nb, nh), dtype=dy.dtype)
         for t in range(len(off) - 2, -1, -1):
             # the output of sorted row j is its state after step ls[j] - 1
             ends = slice(active[t + 1], active[t])
@@ -358,7 +360,7 @@ class Dropout(Layer):
         if ctx.rng is None:
             raise ValueError("dropout in train mode requires a forward rng")
         keep = 1.0 - self.rate
-        self._cache = (ctx.rng.random(x.shape) < keep) / keep
+        self._cache = ((ctx.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
         return x * self._cache
 
     def backward(self, dy):

@@ -79,7 +79,7 @@ def predict(graph, inputs, tap=-1):
         out, acts = graph.forward_all(x, lengths=lengths)
         graph.drop_caches()
         if start == 0:
-            taps = np.empty((n, acts[tap].shape[1]))
+            taps = np.empty((n, acts[tap].shape[1]), dtype=acts[tap].dtype)
         scores[idx] = out.ravel()
         taps[idx] = acts[tap]
     return scores, taps

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -69,3 +70,19 @@ def test_wrong_field_types_rejected_with_line(tmp_path, field, value):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(DataError, match=f":2: .*{field}"):
         read_manifest(path)
+
+
+def test_manifest_file_bytes_are_pinned(tmp_path):
+    # the byte layout of the format: a writer that changes one byte fails here
+    utts = [
+        Utterance("u1", "directed", "train-comp", "spk1", "audio/u1.wav", "play music",
+                  {"prosody": "features/u1.prosody.rec", "asr": "features/u1.asr.rec"}),
+        Utterance("u2", "not-directed", "test"),
+        Utterance("u3", "not-directed", "val-fus", text="", feature_paths={"directedness": "d/u3.dir.rec"}),
+        Utterance("ü4", "directed", "train-fus", "spk\"2", None, "naïve \\ \"quoted\"\ttab"),
+    ]
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, utts)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == "96a904b1178df39ba57cdf93115d8b1db85ec01f11f6de2ba99f8384044aaeef"
+    assert read_manifest(path) == utts

@@ -6,6 +6,7 @@ from ddsd.errors import NumericError, ShapeError
 from ddsd.fusion import build_fusion, input_width
 from ddsd.modalities import MODALITIES
 from ddsd.nn import (
+    Adam,
     Context,
     Dense,
     Dropout,
@@ -164,40 +165,48 @@ def test_gru_matches_masked_oracle(nin, nh, nb, nt, lengths):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=key)
 
 
-@pytest.mark.parametrize("nin,nh", [(40, 256), (5, 128)], ids=["40x256", "5x128"])
-def test_gru_output_does_not_depend_on_row_order(nin, nh):
+@pytest.mark.parametrize(
+    "nin,nh,dtype",
+    [(40, 256, np.float64), (5, 128, np.float64), (40, 256, np.float32), (5, 128, np.float32)],
+    ids=["40x256", "5x128", "40x256-float32", "5x128-float32"],
+)
+def test_gru_output_does_not_depend_on_row_order(nin, nh, dtype):
     rng = np.random.default_rng(nin + nh)
     gru = GRU(nin, nh, rng=rng)
+    ModelGraph([gru]).astype(dtype)
     nb, nt = 9, 14
-    x = rng.normal(size=(nb, nt, nin))
+    x = rng.normal(size=(nb, nt, nin)).astype(dtype)
     lengths = np.array([14, 6, 6, 1, 9, 6, 0, 9, 3])
     out = gru.forward(x, Context(lengths=lengths))
+    assert out.dtype == dtype
     for _ in range(5):
         perm = rng.permutation(nb)
         np.testing.assert_array_equal(gru.forward(x[perm], Context(lengths=lengths[perm])), out[perm])
 
 
-def _packed_gates_and_states(nh, lengths):
+def _packed_gates_and_states(nh, lengths, itemsize=8):
     """Bytes of the GRU's packed gate buffer (sum(lengths), 3H) and states (sum(lengths), H)."""
-    return 8 * int(np.sum(lengths)) * 4 * nh
+    return itemsize * int(np.sum(lengths)) * 4 * nh
 
 
 def test_gru_forward_backward_peak_memory_is_gate_buffer_and_states():
     # one packed buffer holds the pre-activations, then the gates, then their gradients
     nin, nh, nb, nt = 40, 256, 64, 50
-    rng = np.random.default_rng(41)
-    gru = GRU(nin, nh, rng=rng)
-    x = rng.normal(size=(nb, nt, nin))
-    dy = rng.normal(size=(nb, nh))
-    ctx = Context(lengths=rng.integers(1, nt + 1, size=nb))
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(41)
+        gru = GRU(nin, nh, rng=rng)
+        ModelGraph([gru]).astype(dtype)
+        x = rng.normal(size=(nb, nt, nin)).astype(dtype)
+        dy = rng.normal(size=(nb, nh)).astype(dtype)
+        ctx = Context(lengths=rng.integers(1, nt + 1, size=nb))
 
-    def forward_backward():
-        gru.forward(x, ctx)
-        gru.backward(dy)
+        def forward_backward():
+            gru.forward(x, ctx)
+            gru.backward(dy)
 
-    _, peak, _ = traced_call(forward_backward)
-    packed = _packed_gates_and_states(nh, ctx.lengths)
-    assert peak <= 1.2 * packed, f"peak {peak / packed:.2f}x the packed gates and states"
+        _, peak, _ = traced_call(forward_backward)
+        packed = _packed_gates_and_states(nh, ctx.lengths, np.dtype(dtype).itemsize)
+        assert peak <= 1.2 * packed, f"{dtype.__name__}: peak {peak / packed:.2f}x the packed gates and states"
 
 
 def _model_and_inputs(name, rng):
@@ -208,6 +217,22 @@ def _model_and_inputs(name, rng):
         return graph, [rng.normal(size=(t, nin)) for t in rng.integers(1, 30, size=40)], 0
     model = build_fusion(name, MODALITIES, seed=5)
     return model.graph, rng.normal(size=(40, input_width(model))), -1
+
+
+@pytest.mark.parametrize("name", ["prosody", "acoustic", "SL", "EL"])
+def test_every_layer_computes_in_the_dtype_of_its_parameters(name):
+    # component nets are float32 and fusion nets float64; float64 inputs and output gradients follow them
+    rng = np.random.default_rng(59)
+    graph, inputs, _ = _model_and_inputs(name, rng)
+    want = np.float32 if name in ("prosody", "acoustic") else np.float64
+    assert graph.dtype == want
+    x, lengths = pad_batch(inputs) if isinstance(inputs, list) else (inputs, None)
+    out, acts = graph.forward_all(x, lengths=lengths, train=True, rng=rng)
+    dx = graph.backward(np.ones(out.shape))
+    Adam().step(graph.named_params())
+    assert [a.dtype for a in acts] + [dx.dtype] == [want] * (len(acts) + 1)
+    for param_name, layer, key in graph.named_params():
+        assert layer.params[key].dtype == layer.grads[key].dtype == want, param_name
 
 
 @pytest.mark.parametrize("name", ["prosody", "acoustic", "SL", "EL"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,3 +91,25 @@ def test_round_trip_property(mod_idx, values):
         write_records(path, [rec])
         got = read_records(path)[0]
     np.testing.assert_array_equal(got.payload, payload)
+
+
+
+def test_multi_record_file_bytes_are_pinned(tmp_path):
+    # the byte layout of the format: a writer that changes one byte fails here. The payloads are
+    # ranks 0 to 2, present and absent, from float64, big-endian, Fortran-ordered and strided arrays
+    grid = np.arange(-6.0, 6.0, 0.25).reshape(8, 6)
+    records = [
+        Record("utt0001", "prosody", "features", True, grid[:, :5] / 3.0),
+        Record("utt0001", "acoustic", "features", True, grid.T.astype(">f4")),
+        Record("utt0001", "prosody", "score", True, np.array([0.1])),
+        Record("utt0001", "prosody", "embedding", True, np.linspace(-1.0, 1.0, 128)),
+        Record("utt0001", "text", "score", False, np.array([-1.0])),
+        Record("utt0001", "text", "embedding", False, np.full(128, -99999.0)),
+        Record("utt0001", "asr", "features", True, np.float64(2.0) ** -30),
+        Record("ütt-ß", "asr", "features", True, grid[::2, 1]),
+    ]
+    path = tmp_path / "pinned.rec"
+    write_records(path, records)
+    raw = path.read_bytes()
+    assert len(raw) == 1624
+    assert hashlib.sha256(raw).hexdigest() == "0b4d7fccda592768aa17cb521965f2b7f36eb845817826431f124996cfc99da6"
